@@ -1,4 +1,4 @@
-"""Service layer: cold vs. warm-cache analysis and serial vs. parallel waves.
+"""Service layer: cold vs. warm-cache analysis and serial vs. process-backed waves.
 
 The analysis service caches per-SCC type summaries under content-addressed
 keys, so re-analyzing an unmodified program performs zero SCC solves, and
@@ -7,7 +7,8 @@ benchmark measures, on the Figure 11 scaling workload:
 
 * cold analysis (empty store) vs. warm re-analysis (full store) vs.
   incremental re-analysis after editing a single leaf procedure;
-* the serial scheduler vs. the SCC-wave parallel scheduler.
+* the serial executor vs. the process executor, which solves the SCCs of
+  one wave on worker processes.
 
 The warm and incremental runs must beat the cold run -- that is the point of
 the subsystem -- and all paths must produce identical reports.
@@ -43,51 +44,56 @@ def test_incremental_and_parallel_scaling(benchmark):
     workloads = scaling_suite(sizes=SCALING_SIZES)
 
     lines = [
-        "Service layer: cold vs warm vs incremental, serial vs parallel waves",
+        "Service layer: cold vs warm vs incremental, serial vs processes waves",
         "",
         f"{'program':>12} {'sccs':>5} {'cold_s':>8} {'warm_s':>8} {'incr_s':>8} "
-        f"{'resolved':>8} {'serial_s':>8} {'parallel_s':>10} {'max_wave':>8}",
+        f"{'resolved':>8} {'serial_s':>8} {'processes_s':>11} {'max_wave':>8}",
     ]
     cold_total = warm_total = incremental_total = 0.0
-    for workload in workloads:
-        session = IncrementalSession(AnalysisService())
+    processes_service = AnalysisService(ServiceConfig(use_cache=False, executor="processes"))
+    try:
+        # Warm-up: spawn the worker pool before anything is timed.
+        processes_service.analyze(workloads[0].program)
+        for workload in workloads:
+            session = IncrementalSession(AnalysisService())
 
-        start = time.perf_counter()
-        cold = session.analyze(workload.program)
-        cold_seconds = time.perf_counter() - start
+            start = time.perf_counter()
+            cold = session.analyze(workload.program)
+            cold_seconds = time.perf_counter() - start
 
-        start = time.perf_counter()
-        warm = session.analyze(workload.program)
-        warm_seconds = time.perf_counter() - start
-        assert warm.stats["sccs_solved"] == 0
-        assert warm.report() == cold.report()
+            start = time.perf_counter()
+            warm = session.analyze(workload.program)
+            warm_seconds = time.perf_counter() - start
+            assert warm.stats["sccs_solved"] == 0
+            assert warm.report() == cold.report()
 
-        edited, _ = _copy_with_edit(workload.program)
-        start = time.perf_counter()
-        incremental = session.analyze(edited)
-        incremental_seconds = time.perf_counter() - start
-        assert incremental.stats["sccs_solved"] <= cold.stats["scc_count"]
+            edited, _ = _copy_with_edit(workload.program)
+            start = time.perf_counter()
+            incremental = session.analyze(edited)
+            incremental_seconds = time.perf_counter() - start
+            assert incremental.stats["sccs_solved"] <= cold.stats["scc_count"]
 
-        serial_service = AnalysisService(ServiceConfig(use_cache=False, parallel=False))
-        start = time.perf_counter()
-        serial = serial_service.analyze(workload.program)
-        serial_seconds = time.perf_counter() - start
+            serial_service = AnalysisService(ServiceConfig(use_cache=False))
+            start = time.perf_counter()
+            serial = serial_service.analyze(workload.program)
+            serial_seconds = time.perf_counter() - start
 
-        parallel_service = AnalysisService(ServiceConfig(use_cache=False, parallel=True))
-        start = time.perf_counter()
-        parallel = parallel_service.analyze(workload.program)
-        parallel_seconds = time.perf_counter() - start
-        assert parallel.report() == serial.report()
+            start = time.perf_counter()
+            processes = processes_service.analyze(workload.program)
+            processes_seconds = time.perf_counter() - start
+            assert processes.report() == serial.report()
 
-        cold_total += cold_seconds
-        warm_total += warm_seconds
-        incremental_total += incremental_seconds
-        lines.append(
-            f"{workload.name:>12} {cold.stats['scc_count']:>5} {cold_seconds:>8.3f} "
-            f"{warm_seconds:>8.3f} {incremental_seconds:>8.3f} "
-            f"{incremental.stats['sccs_solved']:>8} {serial_seconds:>8.3f} "
-            f"{parallel_seconds:>10.3f} {max(cold.stats['dag_wave_widths']):>8}"
-        )
+            cold_total += cold_seconds
+            warm_total += warm_seconds
+            incremental_total += incremental_seconds
+            lines.append(
+                f"{workload.name:>12} {cold.stats['scc_count']:>5} {cold_seconds:>8.3f} "
+                f"{warm_seconds:>8.3f} {incremental_seconds:>8.3f} "
+                f"{incremental.stats['sccs_solved']:>8} {serial_seconds:>8.3f} "
+                f"{processes_seconds:>11.3f} {max(cold.stats['dag_wave_widths']):>8}"
+            )
+    finally:
+        processes_service.close()
 
     lines += [
         "",

@@ -9,8 +9,8 @@ Figure 10):
 2. warm-cache re-analysis -- re-analyzing an unmodified program performs zero
    SCC solves, and editing one procedure re-solves only its SCC and the
    transitive callers (``IncrementalSession`` reports the invalidation cone);
-3. the parallel scheduler -- independent SCCs of one topological wave of the
-   call-graph condensation are solved concurrently.
+3. the process backend -- independent SCCs of one topological wave of the
+   call-graph condensation are solved concurrently on worker processes.
 
 Run with::
 
@@ -73,25 +73,26 @@ def main() -> None:
           f"{third.stats.get('invalidated_procedures', [])}")
     print(f"re-solved procedures  = {third.stats['solved_procedures']}")
 
-    # -- 3. serial vs. parallel wave scheduling --------------------------------
+    # -- 3. serial vs. process-backed wave scheduling --------------------------
     print("\n=== SCC-wave scheduling ===")
     big = workloads[-1].program
-    serial = AnalysisService(ServiceConfig(use_cache=False, parallel=False))
-    parallel = AnalysisService(ServiceConfig(use_cache=False, parallel=True))
+    serial = AnalysisService(ServiceConfig(use_cache=False))
 
     start = time.perf_counter()
     serial_types = serial.analyze(big)
     serial_seconds = time.perf_counter() - start
 
-    start = time.perf_counter()
-    parallel_types = parallel.analyze(big)
-    parallel_seconds = time.perf_counter() - start
+    # The process backend keeps warm worker processes until the service closes.
+    with AnalysisService(ServiceConfig(use_cache=False, executor="processes")) as processes:
+        start = time.perf_counter()
+        processes_types = processes.analyze(big)
+        processes_seconds = time.perf_counter() - start
 
-    assert parallel_types.report() == serial_types.report()
+    assert processes_types.report() == serial_types.report()
     widths = serial_types.stats["dag_wave_widths"]
     print(f"wave widths: {widths} (max {max(widths)} SCCs solvable concurrently)")
     print(f"serial {serial_seconds * 1000:.1f} ms, "
-          f"parallel {parallel_seconds * 1000:.1f} ms -- identical results")
+          f"processes {processes_seconds * 1000:.1f} ms -- identical results")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
+
+from .service.scheduler import EXECUTORS
 
 
 def _infer_kind(path: str, kind: str) -> str:
@@ -123,7 +125,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
     profiles = named_profiles()
     profile = profiles[args.profile]
-    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
+    backends = args.backends
 
     status = 0
     corpus = None
@@ -223,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--backend",
-        choices=["serial", "threads", "processes", "auto"],
-        default=None,
+        choices=list(EXECUTORS),
+        default="serial",
         help="wave executor for the solve (default: serial)",
     )
     analyze.add_argument(
@@ -256,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument(
         "--backends",
-        default="serial,threads,processes,auto",
+        type=_backend_list,
+        default=",".join(EXECUTORS),
         help="comma-separated executor backends for the oracle sweep",
     )
     gen.add_argument(
@@ -307,6 +310,17 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=cmd_serve)
 
     return parser
+
+
+def _backend_list(text: str) -> List[str]:
+    """``--backends`` value: comma-separated executors, each one known."""
+    backends = [b.strip() for b in text.split(",") if b.strip()]
+    for backend in backends:
+        if backend not in EXECUTORS:
+            raise argparse.ArgumentTypeError(
+                f"unknown backend {backend!r} (expected one of {', '.join(EXECUTORS)})"
+            )
+    return backends
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

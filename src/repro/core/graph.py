@@ -130,8 +130,6 @@ class ConstraintGraph:
         self._present: List[bool] = []
         #: out-records ``(kind, lidp, target_nid)`` in insertion order.
         self._out_recs: List[List[Tuple[int, int, int]]] = []
-        #: in-records ``(kind, lidp, source_nid)`` in insertion order.
-        self._in_recs: List[List[Tuple[int, int, int]]] = []
         #: targets of null (original + saturation) out-edges.
         self._null_out: List[List[int]] = []
         #: recall successors by label: ``lid -> [target_nid, ...]`` (or None).
@@ -199,7 +197,6 @@ class ConstraintGraph:
             for _ in range(2):
                 self._present.append(False)
                 self._out_recs.append([])
-                self._in_recs.append([])
                 self._null_out.append([])
                 self._recall.append(None)
                 self._node_objs.append(None)
@@ -221,7 +218,6 @@ class ConstraintGraph:
         self._materialize(tgt)
         self._edge_list.append(record)
         self._out_recs[src].append((kind, lidp, tgt))
-        self._in_recs[tgt].append((kind, lidp, src))
         self._out_edge_cache.pop(src, None)
         if kind < K_FORGET:
             self._null_out[src].append(tgt)
@@ -343,38 +339,6 @@ class ConstraintGraph:
             self._out_edge_cache[nid] = cached
         return cached
 
-    def in_edges(self, node: Node) -> List[Edge]:
-        """All in-edges of ``node``, decoded from the int records."""
-        nid = self._node_nid(node)
-        if nid is None:
-            return _EMPTY_EDGES
-        return [
-            self._decode_edge((src, nid, kind, lidp))
-            for kind, lidp, src in self._in_recs[nid]
-        ]
-
-    def null_out_edges(self, node: Node) -> List[Edge]:
-        """Out-edges that leave the pending stack alone (original + saturation)."""
-        return [edge for edge in self.out_edges(node) if edge.is_null]
-
-    def forget_edges(self) -> List[Edge]:
-        """Every forget edge in the graph, in insertion order."""
-        return [
-            self._decode_edge((src, tgt, K_FORGET, lid + 1))
-            for src, lid, tgt in self._forget_recs
-        ]
-
-    def recall_targets(self, node: Node, label: Label) -> List[Node]:
-        """Targets of ``node --recall label-->`` edges (O(1) dict hits)."""
-        nid = self._node_nid(node)
-        if nid is None:
-            return _EMPTY_NODES
-        lid = -1 if label is None else self._labels.ids.get(label)
-        if lid is None:
-            return _EMPTY_NODES
-        node_obj = self._node_obj
-        return [node_obj(tgt) for tgt in self.recall_ids(nid, lid)]
-
     def edges(self) -> Iterator[Edge]:
         """All edges in deterministic (insertion) order."""
         decode = self._decode_edge
@@ -412,14 +376,6 @@ class ConstraintGraph:
     def __len__(self) -> int:
         return len(self._edge_list)
 
-    def nodes_for_base(self, base: str) -> List[Node]:
-        node_obj = self._node_obj
-        return [
-            node_obj(nid)
-            for nid, present in enumerate(self._present)
-            if present and self._dtvs.items[nid >> 1].base == base
-        ]
-
     def to_dot(self, name: str = "constraints") -> str:
         lines = [f"digraph {name} {{", "  rankdir=LR;"]
         index = {node: i for i, node in enumerate(sorted(self.nodes, key=str))}
@@ -437,5 +393,4 @@ class ConstraintGraph:
 
 
 _EMPTY_EDGES: List[Edge] = []
-_EMPTY_NODES: List[Node] = []
 _EMPTY_IDS: List[int] = []

@@ -249,9 +249,6 @@ class Solver:
         """Bottom-up (callee-first) list of SCCs of the call graph."""
         return tarjan_sccs(call_edges(procedures))
 
-    # Backwards-compatible private aliases (pre-service-layer spelling).
-    _scc_order = scc_order
-
     # -- per-SCC solving -----------------------------------------------------------------------
 
     def solve_scc(
@@ -269,7 +266,8 @@ class Solver:
         service layer schedules, caches and re-solves incrementally.  When
         ``stats`` is given, per-stage timings and counters are accumulated
         into it (callers aggregating across SCCs pass one shared record; the
-        service passes a fresh record per SCC so waves can run on threads).
+        service passes a fresh record per SCC and merges it once the wave
+        completes).
         """
         tracer = get_tracer()
         with tracer.span("solver.solve_scc", scc=",".join(scc)) as scc_span:

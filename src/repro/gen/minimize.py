@@ -59,7 +59,7 @@ def _service(executor: Optional[str]) -> AnalysisService:
     key = executor or "serial"
     if key not in _services:
         _services[key] = AnalysisService(
-            ServiceConfig(use_cache=False, executor=None if key == "serial" else key)
+            ServiceConfig(use_cache=False, executor=key)
         )
     return _services[key]
 
@@ -143,7 +143,6 @@ def _cache_warm_predicate(name: str, source: str) -> Optional[str]:
 #: the sweep's mismatch ``check`` labels (family variants strip ``family:``).
 ORACLE_PREDICATES: Dict[str, Callable[[str, str], Optional[str]]] = {
     "conservativeness": _conservativeness_predicate,
-    "backend:threads": _backend_predicate("threads"),
     "backend:processes": _backend_predicate("processes"),
     "backend:auto": _backend_predicate("auto"),
     "cache:warm": _cache_warm_predicate,

@@ -3,9 +3,9 @@
 For every program of a seeded generated corpus the harness asserts, across
 every executor backend and cache state, that the analysis is *one function*:
 
-* **backend identity** -- ``analyze_program`` through the serial, threads,
-  processes and auto executors produces byte-identical results (canonical
-  JSON of the typed surface, timings excluded);
+* **backend identity** -- ``analyze_program`` through the serial, processes
+  and auto executors produces byte-identical results (canonical JSON of the
+  typed surface, timings excluded);
 * **cache identity** -- a cold cache-backed run, a warm re-run (which must
   perform zero SCC solves), and an incremental re-analysis after a generated
   edit each reproduce the reference result byte-for-byte, and the edit's
@@ -39,6 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..core import proves, simplify_constraints
 from ..eval.metrics import evaluate_program
 from ..service import AnalysisService, IncrementalSession, ServiceConfig
+from ..service.scheduler import EXECUTORS
 from ..typegen.abstract_interp import generate_program_constraints
 from .family import GeneratedFamily, generate_family
 from .generator import GeneratedProgram, generate_corpus, generate_edit
@@ -46,7 +47,7 @@ from .minimize import conservativeness_failure
 from .profile import GenProfile
 
 #: every executor strategy the service accepts, in check order.
-ALL_BACKENDS = ("serial", "threads", "processes", "auto")
+ALL_BACKENDS = EXECUTORS
 
 #: procedures whose constraint sets exceed this are not sampled for the
 #: naive-reference comparison (the seed DFS is exponential-ish by design).

@@ -18,8 +18,8 @@ Design constraints, in order:
   enter/exit when tracing is off (gated <2% on the suite workload by
   ``benchmarks/bench_simplification.py::test_noop_obs_overhead_gate``);
 * **correct nesting under concurrency** -- each thread has its own span stack,
-  so wave-parallel SCC solves nest under their own wave span, never a
-  sibling's.  Event-loop code (the server) uses detached spans
+  so the analyses of concurrent server requests nest under their own
+  request span, never a sibling's.  Event-loop code (the server) uses detached spans
   (:meth:`Tracer.start_span`/:meth:`Tracer.finish`) because interleaved
   coroutines share one thread and must not share a stack;
 * **cross-boundary stitching** -- :meth:`Tracer.current_context` captures the

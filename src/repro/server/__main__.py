@@ -12,6 +12,7 @@ import logging
 import sys
 from typing import Optional, Sequence
 
+from ..service.scheduler import EXECUTORS
 from .app import ServerConfig, run_server
 from .protocol import MAX_LINE_BYTES
 
@@ -87,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=["serial", "threads", "processes", "auto"],
-        default=None,
+        choices=list(EXECUTORS),
+        default="serial",
         help="wave executor for each analysis: 'processes' solves independent "
         "SCCs on worker processes (true multi-core), 'auto' picks by workload "
         "size (default: serial)",
@@ -98,9 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker count for the wave backend (default: min(8, cpus))",
-    )
-    parser.add_argument(
-        "--parallel-waves", action="store_true", help="legacy alias for --backend threads"
     )
     parser.add_argument(
         "--allow-shutdown", action="store_true", help="honour the remote 'shutdown' verb"
@@ -151,7 +149,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         max_pending=args.max_pending,
         max_queue_wait_seconds=args.max_queue_wait or None,
         max_request_bytes=args.max_request_bytes,
-        parallel_waves=args.parallel_waves,
         backend=args.backend,
         backend_workers=args.backend_workers,
         allow_shutdown=args.allow_shutdown,

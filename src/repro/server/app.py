@@ -97,15 +97,13 @@ class ServerConfig:
     max_queue_wait_seconds: Optional[float] = 30.0
     #: per-request line cap; longer lines get a ``too_large`` error.
     max_request_bytes: int = protocol.MAX_LINE_BYTES
-    #: legacy spelling of ``backend="threads"``; ignored when ``backend`` set.
-    parallel_waves: bool = False
-    #: wave executor strategy for each analysis: ``"serial"`` | ``"threads"``
-    #: | ``"processes"`` | ``"auto"``.  ``"processes"`` is what actually
+    #: wave executor strategy for each analysis: ``"serial"`` |
+    #: ``"processes"`` | ``"auto"``.  ``"processes"`` is what actually
     #: scales with cores -- request handling stays on the thread pool, but
     #: the CPU-heavy per-SCC solving escapes the GIL onto worker processes
-    #: (see docs/operations.md for choosing).  ``None`` derives from
-    #: ``parallel_waves``.
-    backend: Optional[str] = None
+    #: (see docs/operations.md for choosing).  Ignored when the server is
+    #: given a ready-made service.
+    backend: str = "serial"
     #: worker count for the wave backend (``None``: min(8, cpus)).
     backend_workers: Optional[int] = None
     #: open incremental sessions allowed at once (a disconnected client's
@@ -140,7 +138,6 @@ class TypeQueryServer:
                 cache_capacity=self.config.cache_capacity,
                 cache_dir=self.config.store_dir,
                 store_addr=self.config.store_addr,
-                parallel=self.config.parallel_waves,
                 executor=self.config.backend,
                 max_workers=self.config.backend_workers,
             )
@@ -222,7 +219,7 @@ class TypeQueryServer:
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         self._executor.shutdown(wait=True)
-        # Release the service's worker processes (no-op for serial/threads).
+        # Release the service's worker processes (no-op for serial).
         self.service.close()
 
     # -- connection handling ---------------------------------------------------
@@ -599,8 +596,9 @@ class TypeQueryServer:
             "coalesced_total": self.coalesced_total,
             "shed_total": self.shed_total,
             "sessions_open": len(self._sessions),
-            "backend": self.config.backend
-            or ("threads" if self.config.parallel_waves else "serial"),
+            # The executor of the service actually in use, which an injected
+            # service sets, not ``ServerConfig.backend``.
+            "backend": self.service.scheduler.executor,
             "registry": self.registry.snapshot(),
             "store": store.stats.snapshot() if store is not None else {},
             # Per-worker SolveStats merge of the process backend (empty until

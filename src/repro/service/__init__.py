@@ -1,4 +1,4 @@
-"""The analysis service layer: caching, incremental and parallel drivers.
+"""The analysis service layer: caching, incremental and multi-process drivers.
 
 This package turns the one-shot pipeline into a service suited to corpus-scale
 workloads, without changing a single inferred type:
@@ -11,8 +11,8 @@ workloads, without changing a single inferred type:
     :class:`IncrementalSession` for re-analysis after edits.
 ``repro.service.scheduler``
     :class:`WaveScheduler` -- dispatches independent SCCs of one topological
-    wave of the call-graph condensation through a pluggable executor strategy
-    (``"serial"`` | ``"threads"`` | ``"processes"`` | ``"auto"``).
+    wave of the call-graph condensation through an executor strategy
+    (``"serial"`` | ``"processes"`` | ``"auto"``).
 ``repro.service.procpool``
     :class:`ProcPool` -- the process-parallel solve backend: warm worker
     processes, a pickle-free JSON codec for per-SCC solver inputs/outputs,

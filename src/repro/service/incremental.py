@@ -16,19 +16,22 @@ so that three things become possible:
   top-down via ``CallGraph.callers``);
 * **wave parallelism** -- SCCs that share a topological level of the
   condensation DAG are independent and are dispatched together through the
-  :class:`~repro.service.scheduler.WaveScheduler`.
+  :class:`~repro.service.scheduler.WaveScheduler`, in-process or on worker
+  processes.
 
-Warm-or-cold, serial-or-parallel, the service produces results string-equal to
-a plain :func:`repro.analyze_program` run: the final-results dict is rebuilt in
+Every SCC is solved by :func:`~repro.service.store.solve_scc_summary`, on
+whichever side of the process boundary.  Warm-or-cold, serial-or-processes,
+the service produces results string-equal to a plain
+:func:`repro.analyze_program` run: the final-results dict is rebuilt in
 bottom-up SCC order (struct naming in the display layer is order-sensitive)
 and refinement contributions are re-applied in the solver's exact caller order.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
-from collections import ChainMap
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -41,7 +44,6 @@ from ..core.solver import (
     Solver,
     SolverConfig,
     apply_refinement,
-    collect_caller_contributions,
 )
 from ..ir.callgraph import CallGraph
 from ..obs.metrics import get_registry
@@ -57,14 +59,14 @@ from ..typegen.externs import (
     standard_externs,
 )
 from .procpool import ProcPool, ProcessWaveRunner, encode_environment
-from .scheduler import WaveScheduler, choose_executor
+from .scheduler import WaveScheduler
 from .store import (
     SCCSummary,
     SummaryStore,
     environment_fingerprint,
     program_fingerprints,
     scc_summary_keys,
-    summarize_scc,
+    solve_scc_summary,
 )
 
 
@@ -85,15 +87,12 @@ class ServiceConfig:
     #: socket-served persistent tier instead of the disk one (wins over
     #: ``cache_dir`` -- see :func:`repro.service.store.make_backend`).
     store_addr: Optional[str] = None
-    #: legacy spelling of ``executor="threads"``; ignored when ``executor`` is
-    #: set explicitly.
-    parallel: bool = False
-    #: worker-pool size for parallel wave solving (default: min(8, cpus)).
+    #: worker-process count of the process backend (default: min(8, cpus)).
     max_workers: Optional[int] = None
-    #: wave executor strategy: ``"serial"`` | ``"threads"`` | ``"processes"``
-    #: | ``"auto"`` (picked per workload by :func:`~repro.service.scheduler.
-    #: choose_executor`).  ``None`` derives from the legacy ``parallel`` flag.
-    executor: Optional[str] = None
+    #: wave executor strategy: ``"serial"`` | ``"processes"`` | ``"auto"``
+    #: (picked per workload by :func:`~repro.service.scheduler.
+    #: choose_executor`).
+    executor: str = "serial"
     #: chunks per worker per wave for the process backend (>1 lets the pool
     #: rebalance skewed waves at the cost of more IPC messages).
     procpool_chunks_per_worker: int = 2
@@ -126,11 +125,7 @@ class AnalysisService:
             )
         else:
             self.store = None
-        self.scheduler = WaveScheduler(
-            parallel=self.config.parallel,
-            max_workers=self.config.max_workers,
-            executor=self.config.executor,
-        )
+        self.scheduler = WaveScheduler(self.config.executor)
         #: lazily-built process pool (``executor="processes"``/``"auto"``),
         #: keyed by its environment payload and kept warm across analyses.
         self._procpool = None
@@ -161,7 +156,7 @@ class AnalysisService:
             if self._procpool is None:
                 self._procpool = ProcPool(
                     env,
-                    max_workers=self.scheduler.max_workers,
+                    max_workers=self.config.max_workers or min(8, os.cpu_count() or 1),
                     chunks_per_worker=self.config.procpool_chunks_per_worker,
                 )
             return self._procpool
@@ -304,28 +299,20 @@ class AnalysisService:
         stage_stats = SolveStats()
 
         def solve(scc: Sequence[str]):
-            # A fresh per-SCC stats record: SCCs of one wave may solve on
-            # threads concurrently, so they must not mutate a shared record.
-            # The trailing None slot is the serialized-summary payload, which
-            # only the process backend fills in (its results arrive as JSON).
+            # The same (results, summary, stats, payload) shape the process
+            # backend returns; only its results arrive as a JSON payload.
             scc_stats = SolveStats()
-            scc_results = solver.solve_scc(scc, inputs, working, stats=scc_stats)
-            if not refine:
-                return scc_results, {}, scc_stats, None
-            # Same-SCC callees shadow, earlier waves fall through; no copy.
-            merged = ChainMap(scc_results, working)
-            contributions = {
-                name: collect_caller_contributions(inputs[name], scc_results[name], merged)
-                for name in scc
-            }
-            return scc_results, contributions, scc_stats, None
+            scc_results, summary = solve_scc_summary(
+                solver, scc, inputs, working, scc_stats
+            )
+            return scc_results, summary, scc_stats, None
 
         def publish(wave_results):
-            for scc, (scc_results, contributions, scc_stats, payload) in wave_results:
+            for scc, (scc_results, summary, scc_stats, payload) in wave_results:
                 stage_stats.merge(scc_stats)
                 working.update(scc_results)
                 for name in scc:
-                    contributions_of[name] = list(contributions.get(name, ()))
+                    contributions_of[name] = summary.procedures[name].contributions
                 if self.store is not None and self.config.use_cache:
                     if payload is not None:
                         # Worker-solved: the worker already published this
@@ -335,26 +322,20 @@ class AnalysisService:
                             keys[tuple(scc)], payload, write_disk=False
                         )
                     else:
-                        self.store.put(
-                            keys[tuple(scc)],
-                            summarize_scc(scc, scc_results, contributions),
-                        )
+                        self.store.put(keys[tuple(scc)], summary)
 
         missing_waves = [
             [scc for scc in wave if tuple(scc) not in cached] for wave in waves
         ]
         missing_waves = [wave for wave in missing_waves if wave]
 
-        executor = self.scheduler.executor
-        if executor == "auto":
-            executor = choose_executor(missing_waves)
         runner = None
-        if executor == "processes":
+        if self.scheduler.resolve(missing_waves) == "processes":
             runner = ProcessWaveRunner(
                 self._ensure_procpool(), inputs, working, keys, self.lattice
             )
         _, schedule_stats = self.scheduler.run(
-            missing_waves, solve, publish, remote=runner, executor=executor
+            missing_waves, solve, publish, remote=runner
         )
         if runner is not None:
             stage_stats.worker_failed += runner.worker_failed

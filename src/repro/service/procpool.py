@@ -2,7 +2,7 @@
 
 Retypd's per-SCC type schemes are independent summaries, so SCCs that share a
 topological wave of the call-graph condensation can be solved on *processes*
-rather than GIL-bound threads.  This module supplies everything the
+rather than in the GIL-bound parent.  This module supplies everything the
 ``"processes"`` executor strategy of :class:`~repro.service.scheduler.
 WaveScheduler` needs:
 
@@ -37,7 +37,6 @@ import json
 import os
 import threading
 import time
-from collections import ChainMap
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -59,7 +58,6 @@ from ..core.solver import (
     SolveStats,
     Solver,
     SolverConfig,
-    collect_caller_contributions,
 )
 from ..core.variables import parse_dtv
 from ..obs.metrics import get_registry
@@ -72,7 +70,7 @@ from .store import (
     program_fingerprints,
     scc_summary_keys,
     serialize_summary,
-    summarize_scc,
+    solve_scc_summary,
 )
 
 #: bump when the environment/task payload layout changes so a stale worker
@@ -456,7 +454,6 @@ class _WorkerState:
         )
         self.solver = Solver(self.lattice, extern_schemes(self.extern_table), config)
         self.config = config
-        self.refine = config.refine_parameters
         cache_dir = env.get("cache_dir")
         # Always keep a store: the disk tier (when configured) is shared with
         # every other process, and the small memory tier persists across this
@@ -557,20 +554,10 @@ def _worker_solve_chunk(task_json: str) -> str:
             codec_seconds += time.perf_counter() - decode_start
             stats = SolveStats()
             with active.span("procpool.solve_scc", scc=",".join(scc)):
-                scc_results = state.solver.solve_scc(
-                    scc, scc_inputs, callees, stats=stats
+                _, summary = solve_scc_summary(
+                    state.solver, scc, scc_inputs, callees, stats
                 )
-                if state.refine:
-                    merged = ChainMap(scc_results, callees)
-                    contributions = {
-                        name: collect_caller_contributions(
-                            scc_inputs[name], scc_results[name], merged
-                        )
-                        for name in scc
-                    }
-                else:
-                    contributions = {}
-                payload = serialize_summary(summarize_scc(scc, scc_results, contributions))
+                payload = serialize_summary(summary)
             if key and state.store is not None:
                 state.store.admit_payload(key, payload, write_disk=True)
             results.append(
@@ -666,19 +653,11 @@ def _worker_analyze_programs(state: "_WorkerState", task: Mapping[str, object]) 
                 )
             else:
                 _check_fault_injection(scc)
-                scc_results = state.solver.solve_scc(scc, inputs, working, stats=stats)
-                if state.refine:
-                    merged = ChainMap(scc_results, working)
-                    contributions = {
-                        pname: collect_caller_contributions(
-                            inputs[pname], scc_results[pname], merged
-                        )
-                        for pname in scc
-                    }
-                else:
-                    contributions = {}
+                scc_results, summary = solve_scc_summary(
+                    state.solver, scc, inputs, working, stats
+                )
                 working.update(scc_results)
-                payload = serialize_summary(summarize_scc(scc, scc_results, contributions))
+                payload = serialize_summary(summary)
                 if state.store is not None:
                     state.store.admit_payload(key, payload, write_disk=True)
             summaries.append([key, payload])
@@ -862,8 +841,9 @@ class ProcessWaveRunner:
     Carries the run's typing inputs, working results and summary keys; the
     scheduler hands it whole waves and a local fallback.  Results come back in
     the wave's listed SCC order regardless of worker completion order, and the
-    decoded triple+payload matches the local ``solve`` shape exactly, so the
-    publish path cannot tell the backends apart.
+    decoded ``(results, summary, stats, payload)`` rows match the local
+    ``solve`` shape exactly, so the publish path cannot tell the backends
+    apart.
     """
 
     def __init__(
@@ -893,14 +873,10 @@ class ProcessWaveRunner:
         scc_results = {
             name: procedure.to_result() for name, procedure in summary.procedures.items()
         }
-        contributions = {
-            name: list(procedure.contributions)
-            for name, procedure in summary.procedures.items()
-        }
         stats = SolveStats.from_json(entry["stats"])
         if entry.get("from_disk"):
             self.disk_reused += 1
-        return scc_results, contributions, stats, entry["summary"]
+        return scc_results, summary, stats, entry["summary"]
 
     def solve_wave(
         self,
@@ -960,16 +936,16 @@ class ProcessWaveRunner:
                     continue
                 decode_start = time.perf_counter()
                 try:
-                    triple = self._decode_entry(entry)
+                    row = self._decode_entry(entry)
                 except Exception:
                     requeue.append(scc)
                     continue
                 finally:
                     self.codec_seconds += time.perf_counter() - decode_start
-                stats = triple[2]
+                stats = row[2]
                 self.worker_stats.setdefault(pid, SolveStats()).merge(stats)
                 self.pool.record_worker_stats(pid, stats)
-                solved[tuple(scc)] = (triple, float(entry.get("seconds", 0.0)))
+                solved[tuple(scc)] = (row, float(entry.get("seconds", 0.0)))
 
         if requeue:
             registry.counter("procpool_sccs_requeued_total").inc(len(requeue))

@@ -13,33 +13,23 @@ Executor strategies (``executor=``):
 ``"serial"``
     One SCC at a time on the calling thread.  Zero overhead; the right choice
     for small programs and the default.
-``"threads"``
-    A ``concurrent.futures`` thread pool.  Because the solver is pure Python,
-    the GIL serializes its CPU work -- threads only overlap the short
-    C-implemented set/dict stretches, so the wall-clock win is modest.  This
-    strategy exists for explicit opt-in (it keeps single-process semantics:
-    shared objects, no codec, easy debugging), not as the performance path.
-    The old claim in this file that "threads are the right executor here" was
-    measured and retired; see ``docs/operations.md``.
 ``"processes"``
     The :mod:`~repro.service.procpool` backend: chunks of a wave are shipped
     to warm worker processes as JSON (pickle-free), solved in true parallel,
     and the summaries shipped back.  A crashed worker requeues its SCCs on
-    the in-process path (typed ``worker_failed`` stat).  This is the strategy
-    that actually scales with cores; it needs a ``remote`` runner supplied by
-    the analysis service.
+    the in-process path (typed ``worker_failed`` stat).  The solver is pure
+    Python, so this is the only strategy that can scale with cores; it needs
+    a ``remote`` runner supplied by the analysis service.
 ``"auto"``
-    Resolved per run by :func:`choose_executor` from the workload size: wide
-    waves on a multi-core host pick ``"processes"``, everything else
-    ``"serial"`` (threads are never auto-picked -- on a GIL runtime they cost
-    complexity without buying wall-clock).
+    Resolved per workload by :meth:`WaveScheduler.resolve` (through
+    :func:`choose_executor`): wide waves on a multi-core host pick
+    ``"processes"``, everything else ``"serial"``.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
@@ -48,7 +38,7 @@ from ..obs.trace import get_tracer
 T = TypeVar("T")
 
 #: the executor strategies the scheduler accepts.
-EXECUTORS = ("serial", "threads", "processes", "auto")
+EXECUTORS = ("serial", "processes", "auto")
 
 #: ``auto`` picks processes only when at least this many SCCs could overlap
 #: (sum over waves of ``width - 1``): below it, chunk codec + IPC overhead on
@@ -79,7 +69,6 @@ class ScheduleStats:
 
     wave_widths: List[int] = dc_field(default_factory=list)
     scc_seconds: List[Tuple[str, float]] = dc_field(default_factory=list)
-    parallel: bool = False
     #: the executor strategy actually used (post-``auto`` resolution).
     executor: str = "serial"
     #: SCCs requeued in-process after their worker died or misbehaved.
@@ -102,7 +91,6 @@ class ScheduleStats:
             "max_wave_width": self.max_wave_width,
             "mean_wave_width": (sum(widths) / len(widths)) if widths else 0.0,
             "scc_seconds": list(self.scc_seconds),
-            "parallel": self.parallel,
             "executor": self.executor,
             "worker_failed": self.worker_failed,
             "requeued_sccs": list(self.requeued_sccs),
@@ -112,28 +100,24 @@ class ScheduleStats:
 class WaveScheduler:
     """Run a per-SCC function over levelled waves under an executor strategy.
 
-    ``executor`` picks the strategy (see the module docstring); the legacy
-    ``parallel=True`` spelling maps to ``"threads"``.  The ``"processes"``
-    strategy additionally needs a ``remote`` runner passed to :meth:`run`
-    (the service builds a :class:`~repro.service.procpool.ProcessWaveRunner`
-    per analysis); without one it degrades to serial.
+    ``executor`` picks the strategy (see the module docstring) and is
+    validated here; :meth:`resolve` turns it into the concrete strategy for
+    one workload.  Waves go to worker processes only through a ``remote``
+    runner passed to :meth:`run` (the service builds a
+    :class:`~repro.service.procpool.ProcessWaveRunner` per analysis); without
+    one every wave is solved in-process.
     """
 
-    def __init__(
-        self,
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
-        executor: Optional[str] = None,
-    ) -> None:
-        if executor is None:
-            executor = "threads" if parallel else "serial"
+    def __init__(self, executor: str = "serial") -> None:
         if executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {executor!r} (expected one of {EXECUTORS})"
             )
         self.executor = executor
-        self.parallel = executor in ("threads", "processes")
-        self.max_workers = max_workers or min(8, os.cpu_count() or 1)
+
+    def resolve(self, waves: Sequence[Sequence[Sequence[str]]]) -> str:
+        """The concrete strategy for these waves: ``"auto"`` is decided here."""
+        return choose_executor(waves) if self.executor == "auto" else self.executor
 
     def run(
         self,
@@ -141,7 +125,6 @@ class WaveScheduler:
         solve: Callable[[Sequence[str]], T],
         after_wave: Optional[Callable[[List[Tuple[Sequence[str], T]]], None]] = None,
         remote: Optional[object] = None,
-        executor: Optional[str] = None,
     ) -> Tuple[List[Tuple[Sequence[str], T]], ScheduleStats]:
         """Drain the waves bottom-up.
 
@@ -149,78 +132,41 @@ class WaveScheduler:
         requeued SCCs under the process strategy); ``after_wave`` (if given)
         receives the wave's ``(scc, result)`` pairs -- in listed order -- once
         the whole wave has completed, which is where the driver publishes
-        callee summaries before the next wave starts.  ``executor`` overrides
-        the constructor strategy for this run (the service resolves ``"auto"``
-        per workload); ``remote`` is the process-backend runner.  Returns all
-        ``(scc, result)`` pairs in deterministic bottom-up order plus
-        scheduling statistics.
+        callee summaries before the next wave starts.  ``remote`` is the
+        process-backend runner: when given, every wave wider than one SCC is
+        handed to it.  Returns all ``(scc, result)`` pairs in deterministic
+        bottom-up order plus scheduling statistics.
         """
-        mode = executor or self.executor
-        if mode == "auto":
-            mode = choose_executor(waves)
-        if mode == "processes" and remote is None:
-            mode = "serial"
-        if mode == "threads" and self.max_workers <= 1:
-            # A one-thread pool is serial execution; report it honestly.
-            mode = "serial"
-        use_threads = mode == "threads"
-        stats = ScheduleStats(parallel=mode in ("threads", "processes"), executor=mode)
+        mode = "serial" if remote is None else "processes"
+        stats = ScheduleStats(executor=mode)
         all_results: List[Tuple[Sequence[str], T]] = []
-        # One pool for the whole run: deep call graphs have many narrow waves
-        # and must not pay thread spawn/join per wave.
-        pool = ThreadPoolExecutor(max_workers=self.max_workers) if use_threads else None
         tracer = get_tracer()
-        try:
-            for index, wave in enumerate(waves):
-                stats.wave_widths.append(len(wave))
-                timed: List[Tuple[Sequence[str], T, float]]
-                with tracer.span(
-                    "scheduler.wave", index=index, width=len(wave), executor=mode
-                ):
-                    if mode == "processes" and len(wave) > 1:
-                        # Single-SCC waves stay in-process: IPC without overlap
-                        # is pure overhead.
-                        timed = remote.solve_wave(wave, solve)
-                    elif pool is not None and len(wave) > 1:
-                        # Per-SCC work runs on pool threads; hand each one the
-                        # wave span's context so its spans parent correctly.
-                        context = tracer.current_context()
-                        futures = [
-                            pool.submit(_timed_call, solve, scc, tracer, context)
-                            for scc in wave
-                        ]
-                        timed = [
-                            (scc, *future.result()) for scc, future in zip(wave, futures)
-                        ]
-                    else:
-                        timed = [(scc, *_timed_call(solve, scc)) for scc in wave]
-                wave_results: List[Tuple[Sequence[str], T]] = []
-                for scc, result, seconds in timed:
-                    stats.scc_seconds.append((",".join(scc), seconds))
-                    wave_results.append((scc, result))
-                if after_wave is not None:
-                    after_wave(wave_results)
-                all_results.extend(wave_results)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-        if remote is not None and mode == "processes":
+        for index, wave in enumerate(waves):
+            stats.wave_widths.append(len(wave))
+            timed: List[Tuple[Sequence[str], T, float]]
+            with tracer.span(
+                "scheduler.wave", index=index, width=len(wave), executor=mode
+            ):
+                if remote is not None and len(wave) > 1:
+                    # Single-SCC waves stay in-process: IPC without overlap
+                    # is pure overhead.
+                    timed = remote.solve_wave(wave, solve)
+                else:
+                    timed = [(scc, *_timed_call(solve, scc)) for scc in wave]
+            wave_results: List[Tuple[Sequence[str], T]] = []
+            for scc, result, seconds in timed:
+                stats.scc_seconds.append((",".join(scc), seconds))
+                wave_results.append((scc, result))
+            if after_wave is not None:
+                after_wave(wave_results)
+            all_results.extend(wave_results)
+        if remote is not None:
             stats.worker_failed = getattr(remote, "worker_failed", 0)
             stats.requeued_sccs = list(getattr(remote, "requeued_sccs", ()))
         return all_results, stats
 
 
-def _timed_call(
-    solve: Callable[[Sequence[str]], T],
-    scc: Sequence[str],
-    tracer=None,
-    context=None,
-) -> Tuple[T, float]:
+def _timed_call(solve: Callable[[Sequence[str]], T], scc: Sequence[str]) -> Tuple[T, float]:
     start = time.perf_counter()
-    if tracer is not None and context is not None:
-        # Running on a pool thread: adopt the dispatching wave span as parent.
-        with tracer.attach(context):
-            result = solve(scc)
-    else:
-        result = solve(scc)
+    result = solve(scc)
     return result, time.perf_counter() - start

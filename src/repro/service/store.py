@@ -30,14 +30,22 @@ import socket as socket_module
 import threading
 import time
 import uuid
-from collections import OrderedDict
+from collections import ChainMap, OrderedDict
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.lattice import TypeLattice
 from ..core.schemes import TypeScheme
 from ..core.sketches import Sketch
-from ..core.solver import ProcedureResult, RefinementContribution, SolverConfig
+from ..core.solver import (
+    ProcedureResult,
+    ProcedureTypingInput,
+    RefinementContribution,
+    SolveStats,
+    Solver,
+    SolverConfig,
+    collect_caller_contributions,
+)
 from ..core.variables import DerivedTypeVariable, parse_dtv
 from ..ir.program import Procedure, Program
 from ..obs.metrics import get_registry
@@ -205,6 +213,33 @@ def summarize_scc(
             contributions=list(contributions.get(name, ())),
         )
     return SCCSummary(members=tuple(scc), procedures=out)
+
+
+def solve_scc_summary(
+    solver: Solver,
+    scc: Sequence[str],
+    inputs: Mapping[str, ProcedureTypingInput],
+    solved: Mapping[str, ProcedureResult],
+    stats: SolveStats,
+) -> Tuple[Dict[str, ProcedureResult], SCCSummary]:
+    """Solve one SCC, collect its REFINEPARAMETERS contributions, summarize.
+
+    The per-SCC step of every executor: the in-process driver, the wave-chunk
+    worker and the corpus worker all call it.  ``solved`` must hold the
+    result of every callee outside ``scc``.  Returns the fresh (pre-refinement)
+    results and their store summary, whose procedures carry the contributions
+    each member, as a caller, feeds to its callees' formals.
+    """
+    results = solver.solve_scc(scc, inputs, solved, stats=stats)
+    contributions: Dict[str, List[RefinementContribution]] = {}
+    if solver.config.refine_parameters:
+        # Same-SCC callees shadow, earlier waves fall through; no copy.
+        merged = ChainMap(results, solved)
+        contributions = {
+            name: collect_caller_contributions(inputs[name], results[name], merged)
+            for name in scc
+        }
+    return results, summarize_scc(scc, results, contributions)
 
 
 def serialize_summary(summary: SCCSummary) -> Dict[str, object]:

@@ -117,8 +117,8 @@ def test_object_views_are_consistent_with_int_indexes(lines):
         objects.add((src, tgt, edge.kind, edge.label))
     assert decoded == objects
 
-    # Per-node views: out_edges/in_edges are the per-nid slices of the same
-    # records, and null_out_ids mirrors the unlabeled subset.
+    # Per-node views: out_edges is the per-nid slice of the same records,
+    # and null_out_ids mirrors its null (unlabeled) subset.
     for node in graph.nodes:
         nid = graph._node_nid(node)
         outs = {(e.target, e.kind, e.label) for e in graph.out_edges(node)}
@@ -129,12 +129,12 @@ def test_object_views_are_consistent_with_int_indexes(lines):
         assert outs == recs
         null_ids = sorted(graph.null_out_ids(nid))
         null_objs = sorted(
-            graph._node_nid(e.target) for e in graph.null_out_edges(node)
+            graph._node_nid(e.target) for e in graph.out_edges(node) if e.is_null
         )
         assert null_ids == null_objs
         for edge in graph.out_edges(node):
+            assert edge.source == node
             assert graph.has_edge(node, edge.target, edge.kind, edge.label)
-            assert edge in graph.in_edges(edge.target) or edge in graph.out_edges(node)
 
     # The covariant/contravariant twin convention: nid ^ 1 flips variance only.
     for node, nid in node_ids.items():

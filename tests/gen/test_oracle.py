@@ -27,12 +27,12 @@ def test_oracle_sweep_is_clean_on_a_small_corpus():
         seed=123,
         profile=GenProfile.smoke(),
         profile_name="smoke",
-        backends=("serial", "threads"),
+        backends=("serial", "processes"),
         derives_samples=1,
     )
     assert report.ok, report.summary()
     assert report.programs == 4
-    assert report.checks["backend:threads"] == 4
+    assert report.checks["backend:processes"] == 4
     assert report.checks["cache:cold"] == 4
     assert report.checks["cache:warm"] == 4
     assert report.checks["cache:incremental"] == 4
@@ -51,10 +51,10 @@ def test_oracle_summary_prints_reproduction_line_and_mismatches():
         derives_samples=0,
     )
     assert "--seed 5" in report.summary()
-    report.mismatches.append(OracleMismatch("prog", "backend:threads", "boom"))
+    report.mismatches.append(OracleMismatch("prog", "backend:processes", "boom"))
     assert not report.ok
     assert "MISMATCHES: 1" in report.summary()
-    assert "[backend:threads] boom" in report.summary()
+    assert "[backend:processes] boom" in report.summary()
 
 
 def test_result_fingerprint_ignores_timings_but_not_types():
@@ -139,7 +139,7 @@ def test_gen_cli_oracle_smoke(tmp_path):
             str(tmp_path / "corpus"),
             "--oracle",
             "--backends",
-            "serial,threads",
+            "serial,processes",
             "--quiet",
         ],
         capture_output=True,

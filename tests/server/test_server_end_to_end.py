@@ -23,6 +23,7 @@ from repro.server import (
     TypeQueryServer,
     protocol,
 )
+from repro.service import AnalysisService, ServiceConfig
 
 # ---------------------------------------------------------------------------
 # Harness: a real server on a real socket, in a background thread
@@ -548,7 +549,21 @@ def test_process_backend_server_serves_worker_stats():
             assert pool["workers"], "pool-level per-worker stats missing"
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes", "auto"])
+def test_stats_reports_the_executor_of_an_injected_service():
+    """``stats.backend`` names the executor of the service actually in use:
+    an injected service's, not the unused ``ServerConfig.backend``."""
+
+    async def daemon_stats():
+        server = TypeQueryServer(service=AnalysisService(ServiceConfig(executor="processes")))
+        try:
+            return await server._op_stats({})
+        finally:
+            await server.aclose()
+
+    assert asyncio.run(daemon_stats())["backend"] == "processes"
+
+
+@pytest.mark.parametrize("backend", ["serial", "processes", "auto"])
 def test_happy_path_identical_under_every_backend(backend, suite, expected):
     """The analyze -> query happy path, byte-identical whichever wave backend
     the daemon was started with (so backend regressions surface in tier-1)."""

@@ -1,10 +1,14 @@
-"""Wave scheduler: levelling invariants and serial/parallel equivalence."""
+"""Wave scheduler: levelling invariants, executor strategies, determinism."""
 
-from repro.frontend import compile_c
+import pytest
+
+import repro.__main__ as repro_cli
+import repro.server.__main__ as server_cli
 from repro.ir.asmparser import parse_program
 from repro.ir.callgraph import CallGraph
-from repro.service import AnalysisService, ServiceConfig, WaveScheduler
-from repro.service.scheduler import ScheduleStats
+from repro.server import ServerConfig, TypeQueryServer
+from repro.service import AnalysisService, ServiceConfig, WaveScheduler, choose_executor
+from repro.service.scheduler import EXECUTORS, ScheduleStats
 
 
 def _asm_diamond():
@@ -79,19 +83,34 @@ def test_wave_levelling_handles_cycles():
     assert waves[1] == [["c"]]
 
 
+class _ReversedRunner:
+    """A fake process runner: solves a wave's SCCs in reverse order."""
+
+    def __init__(self):
+        self.waves = []
+
+    def solve_wave(self, wave, fallback):
+        self.waves.append([list(scc) for scc in wave])
+        done = {tuple(scc): fallback(scc) for scc in reversed(wave)}
+        return [(scc, done[tuple(scc)], 0.0) for scc in wave]
+
+
 def test_scheduler_is_deterministic_and_parallel_safe():
     waves = [[["a"], ["b"], ["c"]], [["d"]]]
 
     def solve(scc):
         return {name: name.upper() for name in scc}
 
-    serial, serial_stats = WaveScheduler(parallel=False).run(waves, solve)
-    parallel, parallel_stats = WaveScheduler(parallel=True, max_workers=4).run(waves, solve)
-    assert [scc for scc, _ in serial] == [scc for scc, _ in parallel]
-    assert [r for _, r in serial] == [r for _, r in parallel]
-    assert serial_stats.wave_widths == parallel_stats.wave_widths == [3, 1]
-    assert not serial_stats.parallel and parallel_stats.parallel
-    assert len(parallel_stats.scc_seconds) == 4
+    serial, serial_stats = WaveScheduler().run(waves, solve)
+    remote, remote_stats = WaveScheduler(executor="processes").run(
+        waves, solve, remote=_ReversedRunner()
+    )
+    # Completion order does not leak: results merge in listed SCC order.
+    assert [scc for scc, _ in serial] == [scc for scc, _ in remote]
+    assert [r for _, r in serial] == [r for _, r in remote]
+    assert serial_stats.wave_widths == remote_stats.wave_widths == [3, 1]
+    assert serial_stats.executor == "serial" and remote_stats.executor == "processes"
+    assert len(remote_stats.scc_seconds) == 4
 
 
 def test_after_wave_runs_between_waves():
@@ -107,47 +126,59 @@ def test_after_wave_runs_between_waves():
     def publish(wave_results):
         published.extend(result for _, result in wave_results)
 
-    WaveScheduler(parallel=True, max_workers=2).run(waves, solve, publish)
+    runner = _ReversedRunner()
+    WaveScheduler(executor="processes").run(waves, solve, publish, remote=runner)
+    assert runner.waves == [[["a"], ["b"]]]
     assert published == ["a", "b", "c"]
 
 
-def test_parallel_service_matches_serial_service():
-    source = """
-    struct pair { int first; int second; };
-
-    int get_first(const struct pair * p) { return p->first; }
-    int get_second(const struct pair * p) { return p->second; }
-    int sum_pair(const struct pair * p) { return get_first(p) + get_second(p); }
-    int scale(int x) { return x * 3; }
-    int entry(struct pair * p, int x) { return sum_pair(p) + scale(x); }
-    """
-    program = compile_c(source).program
-    serial = AnalysisService(ServiceConfig(use_cache=False, parallel=False)).analyze(program)
-    parallel = AnalysisService(ServiceConfig(use_cache=False, parallel=True, max_workers=4)).analyze(
-        program
-    )
-    assert parallel.report() == serial.report()
-    for name in serial.functions:
-        assert parallel.signature(name) == serial.signature(name)
-    assert parallel.stats["max_wave_width"] >= 2
-
-
 def test_schedule_stats_shape():
-    stats = ScheduleStats(wave_widths=[3, 2, 1], parallel=True)
+    stats = ScheduleStats(wave_widths=[3, 2, 1], executor="processes")
     as_stats = stats.as_stats()
     assert as_stats["wave_count"] == 3
     assert as_stats["max_wave_width"] == 3
     assert abs(as_stats["mean_wave_width"] - 2.0) < 1e-9
+    assert as_stats["executor"] == "processes"
 
 
-def test_executor_strategies_and_legacy_parallel_spelling():
-    import pytest as _pytest
+def test_resolve_decides_auto_and_keeps_explicit_strategies():
+    narrow = [[["a"], ["b"]], [["c"]]]
+    wide = [[["p%d" % i] for i in range(32)]]
+    assert WaveScheduler().resolve(wide) == "serial"
+    assert WaveScheduler(executor="processes").resolve(narrow) == "processes"
+    assert WaveScheduler(executor="auto").resolve(narrow) == "serial"
+    assert WaveScheduler(executor="auto").resolve(wide) == choose_executor(wide)
 
-    assert WaveScheduler().executor == "serial"
-    assert WaveScheduler(parallel=True).executor == "threads"
-    assert WaveScheduler(executor="processes").parallel
-    with _pytest.raises(ValueError):
-        WaveScheduler(executor="fibers")
+
+def test_removed_executor_spellings_are_rejected():
+    assert EXECUTORS == ("serial", "processes", "auto")
+    # The threads executor: a ValueError naming every accepted executor.
+    for make in (
+        lambda: WaveScheduler(executor="threads"),
+        lambda: AnalysisService(ServiceConfig(executor="threads")),
+        lambda: TypeQueryServer(ServerConfig(backend="threads")),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            make()
+        for name in EXECUTORS:
+            assert repr(name) in str(excinfo.value)
+    # The legacy boolean spellings are gone from every config.
+    with pytest.raises(TypeError):
+        WaveScheduler(parallel=True)
+    with pytest.raises(TypeError):
+        ServiceConfig(parallel=True)
+    with pytest.raises(TypeError):
+        ServerConfig(parallel_waves=True)
+    # Both CLIs refuse them at argument parsing (argparse exit code 2).
+    for parse in (
+        lambda: repro_cli.build_parser().parse_args(["analyze", "prog.s", "--backend", "threads"]),
+        lambda: repro_cli.build_parser().parse_args(["gen", "--backends", "serial,threads"]),
+        lambda: server_cli.build_parser().parse_args(["--backend", "threads"]),
+        lambda: server_cli.build_parser().parse_args(["--parallel-waves"]),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            parse()
+        assert excinfo.value.code == 2
 
 
 def test_processes_without_a_remote_runner_degrades_to_serial():
@@ -156,7 +187,7 @@ def test_processes_without_a_remote_runner_degrades_to_serial():
         waves, lambda scc: scc[0].upper()
     )
     assert [r for _, r in results] == ["A", "B", "C"]
-    assert stats.executor == "serial" and not stats.parallel
+    assert stats.executor == "serial"
 
 
 def test_remote_runner_drives_wide_waves_and_requeue_counts_surface():

@@ -4,9 +4,9 @@ These tests exercise the whole reproduction exactly the way the evaluation
 does: compile a program (recording ground truth), throw the types away, run
 Retypd on the machine code, and compare what comes back.
 
-Every test runs once per executor backend (serial, threads, processes,
-auto), so a regression in any wave-dispatch strategy -- not just the default
--- surfaces in tier-1.
+Every test runs once per executor backend (serial, processes, auto), so a
+regression in any wave-dispatch strategy -- not just the default -- surfaces
+in tier-1.
 """
 
 import pytest
