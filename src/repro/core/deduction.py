@@ -60,14 +60,6 @@ class DeductionEngine:
     def entails(self, constraint: SubtypeConstraint) -> bool:
         return self.entails_subtype(constraint.left, constraint.right)
 
-    def derived_variables(self) -> Set[DerivedTypeVariable]:
-        self._close()
-        return set(self._vars)
-
-    def subtype_pairs(self) -> Set[Tuple[DerivedTypeVariable, DerivedTypeVariable]]:
-        self._close()
-        return set(self._subtypes)
-
     # -- fixpoint ----------------------------------------------------------------
 
     def _close(self) -> None:

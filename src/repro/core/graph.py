@@ -262,12 +262,6 @@ class ConstraintGraph:
         """Every forget edge as ``(src_nid, lid, tgt_nid)`` in insertion order."""
         return self._forget_recs
 
-    def dtv_id(self, dtv: DerivedTypeVariable) -> Optional[int]:
-        return self._dtvs.ids.get(dtv)
-
-    def label_id(self, label: Label) -> Optional[int]:
-        return self._labels.ids.get(label)
-
     # -- object-view decode ---------------------------------------------------------
 
     def _node_obj(self, nid: int) -> Node:

@@ -220,10 +220,6 @@ class ShapeInference:
     def classes(self) -> Set[int]:
         return {self.find(i) for i in range(len(self._parent))}
 
-    def class_of_base(self, base: str) -> Optional[int]:
-        cell = self._base_cells.get(base)
-        return self.find(cell) if cell is not None else None
-
     # -- ADD / SUB constraints (Figure 13) ----------------------------------------------------
 
     def mark_pointer(self, cell: int) -> None:

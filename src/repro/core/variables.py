@@ -8,15 +8,15 @@ recognizes.
 
 Derived type variables are the single most-hashed object in the solver: every
 constraint-graph node, reaching-forget fact, sketch key and summary entry keys
-off one.  Construction therefore interns instances (weakly, so long-lived
-daemons do not leak) and precomputes the hash once; ``str`` is cached lazily
-since display/serialization paths render the same variables repeatedly.
+off one.  Construction therefore precomputes the hash once, and equality tries
+identity before comparing ``(base, labels)``; ``str`` is cached lazily since
+display/serialization paths render the same variables repeatedly.  Instances
+are not interned: two equal variables built separately are distinct objects.
 """
 
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -31,10 +31,6 @@ def fresh_var(prefix: str = "v") -> "DerivedTypeVariable":
     return DerivedTypeVariable(f"${prefix}{next(_fresh_counter)}")
 
 
-#: weak intern table: (base, labels) -> the canonical live instance.
-_INTERNED: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
-
-
 @dataclass(frozen=True, order=True)
 class DerivedTypeVariable:
     """A base type variable together with a word of field labels.
@@ -46,34 +42,16 @@ class DerivedTypeVariable:
     base: str
     labels: Tuple[Label, ...] = dc_field(default_factory=tuple)
 
-    def __new__(cls, base: str = "", labels: Tuple[Label, ...] = ()):  # noqa: D102
-        # Interned construction: repeated builds of the same variable return
-        # the same object (weakly held).  Falls back to a fresh instance for
-        # anything unhashable/odd rather than failing.
-        if cls is DerivedTypeVariable and type(labels) is tuple:
-            try:
-                cached = _INTERNED.get((base, labels))
-            except Exception:  # unhashable labels, or a GC-callback race
-                cached = None
-            if cached is not None:
-                return cached
-        return super().__new__(cls)
-
     def __post_init__(self) -> None:
         # Cache the hash: profiles show dict/set operations on derived type
         # variables dominate saturation and simplification otherwise.
         object.__setattr__(self, "_hash", hash((self.base, self.labels)))
-        if type(self) is DerivedTypeVariable and type(self.labels) is tuple:
-            try:
-                _INTERNED.setdefault((self.base, self.labels), self)
-            except Exception:  # interning is an optimization, never an error
-                pass
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
 
     def __eq__(self, other: object) -> bool:
-        if self is other:  # the common case once interning has warmed up
+        if self is other:  # cheap identity check before the field comparison
             return True
         if not isinstance(other, DerivedTypeVariable):
             return NotImplemented

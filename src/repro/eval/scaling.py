@@ -37,9 +37,6 @@ class PowerLawFit:
     b: float
     r_squared: float
 
-    def predict(self, x: float) -> float:
-        return self.a * (x ** self.b)
-
     def __str__(self) -> str:
         return f"y = {self.a:.3g} * N^{self.b:.3f} (R^2 = {self.r_squared:.3f})"
 

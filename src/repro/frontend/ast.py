@@ -26,7 +26,6 @@ from ..core.ctype import (
     StructRef,
     StructType,
     TypedefType,
-    UnknownType,
     VoidType,
 )
 
@@ -107,16 +106,6 @@ def type_size(ctype: CType, struct_table: Optional[Dict[str, StructLayout]] = No
     if ctype.size_bits:
         return max(1, ctype.size_bits // 8)
     return 4
-
-
-def is_pointer_type(ctype: CType) -> bool:
-    return isinstance(ctype, PointerType)
-
-
-def pointee_of(ctype: CType) -> CType:
-    if isinstance(ctype, PointerType):
-        return ctype.pointee
-    return UnknownType()
 
 
 # ---------------------------------------------------------------------------

@@ -66,10 +66,6 @@ class ReachingDefinitions:
     def state(self, index: int) -> StackState:
         return self.stack_states.get(index, StackState(None, None))
 
-    def slot_for(self, index: int, memory: Mem) -> Optional[int]:
-        """Frame offset addressed by a memory operand at ``index`` (or None)."""
-        return frame_offset(memory, self.state(index))
-
 
 def definitions_of(
     instruction: Instruction, index: int, state: StackState

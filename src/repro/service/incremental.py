@@ -113,7 +113,6 @@ class AnalysisService:
         self.extern_table: Dict[str, ExternSignature] = (
             dict(externs) if externs is not None else standard_externs()
         )
-        self.extern_schemes = extern_schemes(self.extern_table)
         self._owns_store = store is None
         if store is not None:
             self.store: Optional[SummaryStore] = store
@@ -267,7 +266,9 @@ class AnalysisService:
         callgraph = CallGraph.from_typing_inputs(inputs)
         sccs = callgraph.sccs_bottom_up()
         waves = callgraph.scc_waves()
-        solver = Solver(self.lattice, self.extern_schemes, self.config.solver)
+        # Read from the live extern table on every call, like the environment
+        # key below; each signature parses its scheme only once.
+        solver = Solver(self.lattice, extern_schemes(self.extern_table), self.config.solver)
 
         # Probe the store for every SCC (keys are content-transitive, so a hit
         # is valid regardless of what happens to other SCCs this run).

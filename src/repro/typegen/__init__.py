@@ -11,7 +11,6 @@ from .abstract_interp import (
     CalleeInfo,
     ProcedureConstraintGenerator,
     callee_table,
-    generate_procedure_constraints,
     generate_program_constraints,
 )
 
@@ -23,7 +22,6 @@ __all__ = [
     "callee_table",
     "ensure_lattice_tags",
     "extern_schemes",
-    "generate_procedure_constraints",
     "generate_program_constraints",
     "standard_externs",
 ]

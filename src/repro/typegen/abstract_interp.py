@@ -120,12 +120,12 @@ class ProcedureConstraintGenerator:
         procedure: Procedure,
         interface: ProcedureInterface,
         callees: Mapping[str, CalleeInfo],
-        reaching: Optional[ReachingDefinitions] = None,
+        reaching: ReachingDefinitions,
     ) -> None:
         self.procedure = procedure
         self.interface = interface
         self.callees = callees
-        self.reaching = reaching or analyze_reaching_definitions(procedure)
+        self.reaching = reaching
         self.constraints = ConstraintSet()
         self.callsites: List[Callsite] = []
         self._phi_cache: Dict[Tuple[int, Location], DerivedTypeVariable] = {}
@@ -466,32 +466,33 @@ class ProcedureConstraintGenerator:
         self.constraints.add_subtype(self.use_var("eax", index), self.formal_out())
 
 
-def generate_procedure_constraints(
-    procedure: Procedure,
-    interfaces: Mapping[str, ProcedureInterface],
-    callees: Mapping[str, CalleeInfo],
-) -> ProcedureTypingInput:
-    generator = ProcedureConstraintGenerator(
-        procedure, interfaces[procedure.name], callees
-    )
-    return generator.generate()
-
-
 def generate_program_constraints(
     program: Program,
     externs: Optional[Mapping[str, ExternSignature]] = None,
 ) -> Dict[str, ProcedureTypingInput]:
-    """Generate constraints for every procedure of a program (Algorithm F.1's CONSTRAINTS)."""
+    """Generate constraints for every procedure of a program (Algorithm F.1's CONSTRAINTS).
+
+    One reaching-definitions pass per procedure serves both interface
+    discovery and the generator; each procedure's facts are dropped as soon
+    as its constraints exist.
+    """
     externs = externs if externs is not None else standard_externs()
+    reaching = {
+        name: analyze_reaching_definitions(procedure)
+        for name, procedure in program.procedures.items()
+    }
     interfaces = {
-        name: discover_interface(procedure) for name, procedure in program.procedures.items()
+        name: discover_interface(procedure, reaching[name])
+        for name, procedure in program.procedures.items()
     }
     callees = callee_table(program, interfaces, externs)
     tracer = get_tracer()
     results: Dict[str, ProcedureTypingInput] = {}
     for name, procedure in program.procedures.items():
         with tracer.span("typegen.constraints", function=name) as span:
-            generator = ProcedureConstraintGenerator(procedure, interfaces[name], callees)
+            generator = ProcedureConstraintGenerator(
+                procedure, interfaces[name], callees, reaching.pop(name)
+            )
             results[name] = generator.generate()
             span.set("constraints", len(results[name].constraints))
     return results

@@ -14,7 +14,8 @@ propagate through the program during inference (Figure 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.constraints import ConstraintSet, parse_constraint
@@ -24,9 +25,15 @@ from ..core.variables import DerivedTypeVariable
 from ..core.labels import InLabel, OutLabel
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExternSignature:
-    """Calling-convention facts plus the type scheme of a library function."""
+    """Calling-convention facts plus the type scheme of a library function.
+
+    :attr:`scheme` is parsed on first use and cached; the dataclass is frozen
+    so no field can change under the cached scheme.  Every solver (and every
+    server thread) using this signature shares that one scheme, which nothing
+    mutates; two threads racing on first use can only parse it twice.
+    """
 
     name: str
     stack_params: int = 0
@@ -39,6 +46,7 @@ class ExternSignature:
     def input_locations(self) -> List[str]:
         return [f"stack{4 * j}" for j in range(self.stack_params)]
 
+    @cached_property
     def scheme(self) -> TypeScheme:
         constraint_set = ConstraintSet()
         for text in self.constraints:
@@ -278,7 +286,7 @@ def extern_schemes(
 ) -> Dict[str, TypeScheme]:
     """Type schemes for the solver, keyed by function name."""
     table = externs if externs is not None else STANDARD_EXTERNS
-    return {name: signature.scheme() for name, signature in table.items()}
+    return {name: signature.scheme for name, signature in table.items()}
 
 
 def ensure_lattice_tags(lattice: TypeLattice) -> TypeLattice:

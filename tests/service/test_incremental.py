@@ -7,6 +7,7 @@ from repro.frontend import compile_c
 from repro.ir.instructions import Nop
 from repro.ir.program import Procedure, Program
 from repro.service import AnalysisService, IncrementalSession, ServiceConfig
+from repro.typegen import ExternSignature
 
 # A call DAG with a diamond and an unrelated component:
 #
@@ -209,3 +210,20 @@ def test_analyze_program_accepts_service_objects():
 
     configured = analyze_program(program, service=ServiceConfig(executor="auto", use_cache=False))
     assert configured.report() == baseline.report()
+
+
+def test_extern_table_edit_reaches_the_solver():
+    """Solving reads the live extern table, as the summary keys already do."""
+    asm = """
+    f:
+        call getfd
+        ret
+    """
+    service = AnalysisService()
+    assert service.analyze(asm).signature("f") == "int f(void);"
+    service.extern_table["getfd"] = ExternSignature(
+        "getfd", 0, constraints=("#FileDescriptor <= getfd.out_eax",)
+    )
+    fresh = AnalysisService(externs=service.extern_table)
+    assert fresh.analyze(asm).signature("f") == "#FileDescriptor f(void);"
+    assert service.analyze(asm).signature("f") == "#FileDescriptor f(void);"

@@ -1,9 +1,13 @@
 """Unit tests for constraint generation (the Appendix A abstract interpreter) and extern schemes."""
 
+import json
+
 import pytest
 
-from repro.core import parse_dtv
+from repro import analyze_program
+from repro.core import SolverConfig, parse_dtv
 from repro.ir import parse_program
+from repro.typegen import abstract_interp
 from repro.typegen import (
     ExternSignature,
     STANDARD_EXTERNS,
@@ -212,6 +216,71 @@ def test_extern_signature_scheme_instantiation():
     signature = ExternSignature(
         name="mygetter", stack_params=1, constraints=("mygetter.in_stack0.load.sigma32@0 <= int",)
     )
-    scheme = signature.scheme()
+    scheme = signature.scheme
+    assert signature.scheme is scheme  # parsed once per signature
     instantiated = scheme.instantiate_as("mygetter$7")
     assert any("mygetter$7" in str(c) for c in instantiated)
+
+
+def test_reaching_definitions_run_once_per_procedure(monkeypatch):
+    """Interface discovery and the generator share one dataflow pass."""
+    from repro.ir import locators
+
+    calls = []
+    real = abstract_interp.analyze_reaching_definitions
+
+    def counting(procedure):
+        calls.append(procedure.name)
+        return real(procedure)
+
+    monkeypatch.setattr(abstract_interp, "analyze_reaching_definitions", counting)
+    monkeypatch.setattr(locators, "analyze_reaching_definitions", counting)
+    program = parse_program(
+        """
+        leaf:
+            mov eax, [esp+4]
+            ret
+        caller:
+            push dword [esp+4]
+            call leaf
+            add esp, 4
+            ret
+        """
+    )
+    inputs = generate_program_constraints(program)
+    assert sorted(calls) == sorted(program.procedures) == sorted(inputs)
+
+
+EXTERN_CALLER_ASM = """
+.extern malloc
+.extern memcpy
+.extern close
+
+copy_and_close:
+    push 16
+    call malloc
+    add esp, 4
+    mov ecx, [esp+4]
+    push 16
+    push ecx
+    push eax
+    call memcpy
+    add esp, 12
+    mov edx, [esp+8]
+    push edx
+    call close
+    add esp, 4
+    ret
+"""
+
+
+@pytest.mark.parametrize("polymorphic", [True, False])
+def test_analysis_leaves_shared_extern_schemes_unchanged(polymorphic):
+    """Every solver shares the signatures' parsed schemes; none may mutate them."""
+    names = ("malloc", "memcpy", "close")
+    before = {name: json.dumps(STANDARD_EXTERNS[name].scheme.to_json()) for name in names}
+    types = analyze_program(EXTERN_CALLER_ASM, config=SolverConfig(polymorphic=polymorphic))
+    assert types["copy_and_close"].function_type.params
+    assert extern_schemes(standard_externs())["close"] is STANDARD_EXTERNS["close"].scheme
+    for name in names:
+        assert json.dumps(STANDARD_EXTERNS[name].scheme.to_json()) == before[name]
