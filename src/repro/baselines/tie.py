@@ -6,8 +6,10 @@ subtype constraints and maintain an interval (upper and lower bound) per type
 variable.  Its published limitations -- the ones the Retypd paper calls out --
 are the lack of recursive types and of polymorphism.  The baseline therefore:
 
-* runs the same SCC-based solver as Retypd but with *monomorphic* callsite
-  instantiation (shared existentials: all callsites of a function unify), and
+* runs the same SCC-based driver as Retypd (an uncached
+  :class:`~repro.service.AnalysisService`) but with *monomorphic* callsite
+  instantiation (shared existentials: all callsites of a function unify) and
+  no REFINEPARAMETERS pass, and
 * truncates every recovered sketch to a shallow depth before display, so
   recursive and deeply nested structures degrade to generic pointers -- the
   behaviour Schwartz et al. identified as a major source of decompilation
@@ -17,18 +19,14 @@ are the lack of recursive types and of polymorphism.  The baseline therefore:
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
 
-from ..core.labels import Label
-from ..core.lattice import TypeLattice
 from ..core.sketches import Sketch
-from ..core.solver import Solver, SolverConfig
+from ..core.solver import SolverConfig
 from ..ir.program import Program
 from ..pipeline import ProgramTypes, _function_types
 from ..core.display import TypeDisplay
+from ..service import AnalysisService, ServiceConfig
 from ..typegen.abstract_interp import generate_program_constraints
-from ..typegen.externs import ensure_lattice_tags, extern_schemes, standard_externs
-from ..core.lattice import default_lattice
 from ..ir.cfg import cfg_node_count
 from .common import TypeInferenceEngine
 
@@ -64,12 +62,14 @@ class TIEEngine(TypeInferenceEngine):
 
     def analyze(self, program: Program) -> ProgramTypes:
         start = time.perf_counter()
-        lattice = ensure_lattice_tags(default_lattice())
-        externs = standard_externs()
-        inputs = generate_program_constraints(program, externs)
-        config = SolverConfig(polymorphic=False, refine_parameters=False)
-        solver = Solver(lattice, extern_schemes(externs), config)
-        results = solver.solve_program(inputs)
+        service = AnalysisService(
+            ServiceConfig(
+                solver=SolverConfig(polymorphic=False, refine_parameters=False),
+                use_cache=False,
+            )
+        )
+        inputs = generate_program_constraints(program, service.extern_table)
+        results, _ = service.solve_inputs(program, inputs)
 
         for result in results.values():
             result.formal_in_sketches = {
@@ -81,7 +81,7 @@ class TIEEngine(TypeInferenceEngine):
                 for dtv, sketch in result.formal_out_sketches.items()
             }
 
-        display = TypeDisplay(lattice)
+        display = TypeDisplay(service.lattice)
         functions = {
             name: _function_types(name, inputs[name], result, display)
             for name, result in results.items()

@@ -68,9 +68,6 @@ class Node:
         tag = "+" if self.variance is Variance.COVARIANT else "-"
         return f"{self.dtv}.{tag}"
 
-    def flipped(self) -> "Node":
-        return Node(self.dtv, self.variance.flip())
-
 
 class EdgeKind(enum.Enum):
     ORIGINAL = "original"      # a constraint axiom (an empty stack operation)

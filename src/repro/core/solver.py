@@ -1,18 +1,23 @@
-"""The type-inference driver: INFERPROCTYPES / SOLVE over call-graph SCCs.
+"""Per-SCC type inference: INFERPROCTYPES / SOLVE for one call-graph SCC.
 
-This module glues the pieces of the core together, following Algorithms F.1
-and F.2:
+This module glues the pieces of the core together for one strongly-connected
+component of the call graph, following Algorithm F.2:
 
-1. Strongly-connected components of the call graph are processed bottom-up.
-2. For every SCC the per-procedure constraint sets are combined; callsites to
+1. The per-procedure constraint sets of the SCC are combined; callsites to
    already-processed procedures instantiate the callee's *type scheme* with a
    callsite tag (polymorphism), calls within the SCC are linked monomorphically.
-3. The combined constraint set is solved: shapes via the Steensgaard quotient
+2. The combined constraint set is solved: shapes via the Steensgaard quotient
    (Theorem 3.1), lattice decorations via the saturated constraint graph
    (Appendix D.4).
-4. Each procedure's formal-in/out sketches are read off the solution and
+3. Each procedure's formal-in/out sketches are read off the solution and
    serialized back into a compact type scheme (Figure 2 / Appendix H) to be
    instantiated by the procedure's callers.
+
+The bottom-up walk over the SCCs (Algorithm F.1) and the REFINEPARAMETERS
+pass (Algorithm F.3) are driven by :meth:`AnalysisService.solve_inputs
+<repro.service.incremental.AnalysisService.solve_inputs>`; this module supplies
+their pieces (:func:`tarjan_sccs`, :func:`collect_caller_contributions`,
+:func:`apply_refinement`).
 
 The solver is intentionally independent of the machine-code IR: its input is a
 :class:`ProcedureTypingInput` per procedure (constraints + formal variables +
@@ -191,7 +196,13 @@ class SolverConfig:
 
 
 class Solver:
-    """Whole-program type inference over a set of procedures."""
+    """The per-SCC step of type inference (Algorithm F.2 for one SCC).
+
+    The bottom-up pass over the call graph and REFINEPARAMETERS live in
+    :meth:`AnalysisService.solve_inputs
+    <repro.service.incremental.AnalysisService.solve_inputs>`, which calls
+    :meth:`solve_scc` once per SCC that its summary store cannot serve.
+    """
 
     def __init__(
         self,
@@ -202,52 +213,6 @@ class Solver:
         self.lattice = lattice or default_lattice()
         self.extern_schemes: Dict[str, TypeScheme] = dict(extern_schemes or {})
         self.config = config or SolverConfig()
-        #: statistics collected during the last solve (for the scaling figures)
-        self.stats: Dict[str, float] = {}
-        #: per-stage timing record of the last :meth:`solve_program` run.
-        self.last_stage_stats: Optional[SolveStats] = None
-
-    # -- public API ---------------------------------------------------------------------
-
-    def solve_program(
-        self, procedures: Mapping[str, ProcedureTypingInput]
-    ) -> Dict[str, ProcedureResult]:
-        """Infer type schemes and sketches for every procedure."""
-        order = self.scc_order(procedures)
-        results: Dict[str, ProcedureResult] = {}
-        constraint_count = 0
-        scc_timings: List[Tuple[str, float]] = []
-        stage_stats = SolveStats()
-        for scc in order:
-            scc_start = time.perf_counter()
-            scc_results = self.solve_scc(scc, procedures, results, stats=stage_stats)
-            scc_timings.append((",".join(scc), time.perf_counter() - scc_start))
-            results.update(scc_results)
-            for name in scc:
-                constraint_count += len(procedures[name].constraints)
-        self.stats["constraints"] = constraint_count
-        self.stats["procedures"] = len(procedures)
-        self.stats["scc_count"] = len(order)
-        self.stats["scc_seconds"] = scc_timings
-        self.stats["stage_seconds"] = stage_stats.to_json()
-        self.last_stage_stats = stage_stats
-        if scc_timings:
-            self.stats["max_scc_seconds"] = max(seconds for _, seconds in scc_timings)
-        if self.config.refine_parameters:
-            self._refine_parameters(procedures, results)
-        return results
-
-    def solve_single(self, procedure: ProcedureTypingInput) -> ProcedureResult:
-        """Convenience wrapper for a standalone procedure."""
-        return self.solve_program({procedure.name: procedure})[procedure.name]
-
-    # -- call graph ----------------------------------------------------------------------
-
-    def scc_order(
-        self, procedures: Mapping[str, ProcedureTypingInput]
-    ) -> List[List[str]]:
-        """Bottom-up (callee-first) list of SCCs of the call graph."""
-        return tarjan_sccs(call_edges(procedures))
 
     # -- per-SCC solving -----------------------------------------------------------------------
 
@@ -313,8 +278,6 @@ class Solver:
                 stats.sketch_seconds += time.perf_counter() - sketch_start
                 stats.sccs_timed += 1
             return out
-
-    _solve_scc = solve_scc
 
     def _callsite_constraints(
         self,
@@ -400,21 +363,6 @@ class Solver:
                 stats.graph_nodes += graph.num_nodes
                 stats.graph_edges += len(graph)
         return shapes, graph
-
-    # -- REFINEPARAMETERS (Algorithm F.3) ------------------------------------------------------
-
-    def _refine_parameters(
-        self,
-        procedures: Mapping[str, ProcedureTypingInput],
-        results: Dict[str, ProcedureResult],
-    ) -> None:
-        """Specialize formal sketches to the most specific use seen at callsites."""
-        contributions: List[RefinementContribution] = []
-        for caller_name, caller in procedures.items():
-            contributions.extend(
-                collect_caller_contributions(caller, results.get(caller_name), results)
-            )
-        apply_refinement(results, contributions)
 
 
 # ---------------------------------------------------------------------------

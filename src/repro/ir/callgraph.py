@@ -11,7 +11,7 @@ parallelism used by :mod:`repro.service.scheduler`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Mapping, Set, Tuple
+from typing import Dict, List, Mapping, Set
 
 from ..core.solver import ProcedureTypingInput, call_edges, tarjan_sccs
 from .program import Program
@@ -64,19 +64,6 @@ class CallGraph:
     def sccs_bottom_up(self) -> List[List[str]]:
         """SCCs in callee-first order (the order type schemes are inferred in)."""
         return tarjan_sccs(self.edges)
-
-    def sccs_top_down(self) -> List[List[str]]:
-        """SCCs in caller-first order (the order sketches are specialized in)."""
-        return list(reversed(self.sccs_bottom_up()))
-
-    def scc_of(self) -> Dict[str, Tuple[str, ...]]:
-        """Map every procedure to (the canonical tuple of) its SCC."""
-        out: Dict[str, Tuple[str, ...]] = {}
-        for scc in self.sccs_bottom_up():
-            key = tuple(scc)
-            for name in scc:
-                out[name] = key
-        return out
 
     def scc_waves(self) -> List[List[List[str]]]:
         """Topological levelling of the SCC condensation DAG.

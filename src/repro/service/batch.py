@@ -139,9 +139,9 @@ def analyze_corpus(
             warmed = prewarmed.get(name)
             if warmed is not None:
                 types = service.analyze(source, inputs=warmed.inputs)
-                types.stats["cache_hits"] = warmed.cache_hits
-                types.stats["cache_misses"] = warmed.cache_misses
-                types.stats["stage_seconds"] = warmed.stage_stats
+                # The replay hits the store for every shipped SCC; the
+                # worker's own driver stats say what was actually solved.
+                types.stats.update(warmed.stats)
                 elapsed = warmed.seconds + (time.perf_counter() - start)
             else:
                 types = service.analyze(source)
@@ -168,9 +168,7 @@ class _PrewarmedProgram:
     """What corpus fan-out brings back for one program (see ``_prewarm_corpus``)."""
 
     inputs: Dict[str, object]  # name -> ProcedureTypingInput, worker-generated
-    cache_hits: int
-    cache_misses: int
-    stage_stats: Dict[str, object]  # worker SolveStats.to_json()
+    stats: Dict[str, object]  # the worker's solve_inputs stats (CORPUS_STATS)
     seconds: float  # worker wall-clock for this program
 
 
@@ -197,18 +195,23 @@ def _prewarm_corpus(
 ) -> Dict[str, _PrewarmedProgram]:
     """Fan the corpus out over the process pool; returns per-program context.
 
-    Workers run parse + constraint generation + bottom-up SCC solving for
-    whole programs and ship back (a) every SCC's summary payload, admitted
-    here into the service's store, and (b) the typing inputs in the integer
-    codec.  Programs whose chunk failed (worker crash, undecodable reply) are
-    simply absent from the result and fall back to the in-process path.
+    Workers run parse + constraint generation + the service's
+    ``solve_inputs`` for whole programs and ship back (a) every SCC's summary
+    payload still in the worker's store, admitted here into the service's
+    store, (b) the typing inputs in the integer codec and (c) the driver's
+    solve statistics.  Programs whose chunk failed (worker crash, undecodable
+    reply) are simply absent from the result and fall back to the in-process
+    path.
     """
-    from .procpool import _TableReader, decode_input, encode_corpus_task
+    from .procpool import (
+        CHUNKS_PER_WORKER,
+        _TableReader,
+        decode_input,
+        encode_corpus_task,
+    )
 
     pool = service._ensure_procpool()
-    chunk_count = max(
-        1, min(len(items), pool.max_workers * pool.chunks_per_worker)
-    )
+    chunk_count = max(1, min(len(items), pool.max_workers * CHUNKS_PER_WORKER))
     chunks = [items[index::chunk_count] for index in range(chunk_count)]
     payloads = [
         encode_corpus_task(
@@ -232,15 +235,12 @@ def _prewarm_corpus(
                     pname: decode_input(pname, encoded, reader)
                     for pname, encoded in entry["inputs"].items()
                 }
+                stats = dict(entry["stats"])
                 for key, payload in entry["summaries"]:
                     service.store.admit_payload(key, payload, write_disk=False)
             except Exception:
                 continue  # parent re-analyzes this program in process
             prewarmed[entry["name"]] = _PrewarmedProgram(
-                inputs=inputs,
-                cache_hits=int(entry.get("cache_hits", 0)),
-                cache_misses=int(entry.get("cache_misses", 0)),
-                stage_stats=dict(entry.get("stats", {})),
-                seconds=float(entry.get("seconds", 0.0)),
+                inputs=inputs, stats=stats, seconds=float(entry.get("seconds", 0.0))
             )
     return prewarmed

@@ -1,10 +1,13 @@
 """The analysis service driver: cached, incremental, wave-parallel solving.
 
 :class:`AnalysisService` is the orchestrator the public pipeline routes
-through.  One ``analyze`` call runs the same algorithm as the plain solver --
-constraint generation, bottom-up per-SCC solving, REFINEPARAMETERS -- but
-drives :meth:`Solver.solve_scc <repro.core.solver.Solver.solve_scc>` piecewise
-so that three things become possible:
+through, and :meth:`AnalysisService.solve_inputs` is the one bottom-up driver
+of the repository (Algorithms F.1-F.3): the pipeline, the TIE baseline and
+the corpus-mode process workers all solve whole programs through it.  One
+``analyze`` call runs constraint generation, bottom-up per-SCC solving and
+REFINEPARAMETERS, driving :meth:`Solver.solve_scc
+<repro.core.solver.Solver.solve_scc>` SCC by SCC so that three things become
+possible:
 
 * **summary reuse** -- every solved SCC is published to a content-addressed
   :class:`~repro.service.store.SummaryStore`; any SCC whose key (procedure IR
@@ -13,7 +16,7 @@ so that three things become possible:
 * **incremental re-analysis** -- editing a procedure changes its SCC's key and
   the keys of its transitive callers, so precisely that invalidation cone is
   re-solved (:class:`IncrementalSession` reports the cone explicitly, computed
-  top-down via ``CallGraph.callers``);
+  via ``CallGraph.transitive_callers``);
 * **wave parallelism** -- SCCs that share a topological level of the
   condensation DAG are independent and are dispatched together through the
   :class:`~repro.service.scheduler.WaveScheduler`, in-process or on worker
@@ -21,10 +24,10 @@ so that three things become possible:
 
 Every SCC is solved by :func:`~repro.service.store.solve_scc_summary`, on
 whichever side of the process boundary.  Warm-or-cold, serial-or-processes,
-the service produces results string-equal to a plain
-:func:`repro.analyze_program` run: the final-results dict is rebuilt in
-bottom-up SCC order (struct naming in the display layer is order-sensitive)
-and refinement contributions are re-applied in the solver's exact caller order.
+the service produces string-equal results: the final-results dict is rebuilt
+in bottom-up SCC order (struct naming in the display layer is
+order-sensitive) and refinement contributions are re-applied in the inputs'
+caller order.
 """
 
 from __future__ import annotations
@@ -93,9 +96,6 @@ class ServiceConfig:
     #: (picked per workload by :func:`~repro.service.scheduler.
     #: choose_executor`).
     executor: str = "serial"
-    #: chunks per worker per wave for the process backend (>1 lets the pool
-    #: rebalance skewed waves at the cost of more IPC messages).
-    procpool_chunks_per_worker: int = 2
 
 
 class AnalysisService:
@@ -156,7 +156,6 @@ class AnalysisService:
                 self._procpool = ProcPool(
                     env,
                     max_workers=self.config.max_workers or min(8, os.cpu_count() or 1),
-                    chunks_per_worker=self.config.procpool_chunks_per_worker,
                 )
             return self._procpool
 
@@ -256,12 +255,18 @@ class AnalysisService:
 
     def solve_inputs(
         self,
-        program: Program,
+        program: Optional[Program],
         inputs: Mapping[str, ProcedureTypingInput],
     ) -> Tuple[Dict[str, ProcedureResult], Dict[str, object]]:
         """Solve all procedures, reusing cached SCC summaries where possible.
 
-        Returns (results in bottom-up SCC order, service statistics).
+        The SCCs of the call graph are solved bottom-up (Algorithm F.1), each
+        by :func:`~repro.service.store.solve_scc_summary` unless the store
+        serves it, then REFINEPARAMETERS (Algorithm F.3) folds every caller's
+        contributions into its callees' formals.  ``program`` only keys the
+        summary store, so a cache-off service never reads it (hand-built
+        inputs may pass ``None``).  Returns (results in bottom-up SCC order,
+        service statistics).
         """
         callgraph = CallGraph.from_typing_inputs(inputs)
         sccs = callgraph.sccs_bottom_up()
@@ -351,8 +356,7 @@ class AnalysisService:
             registry.counter("service_scc_cache_misses_total").inc(misses)
 
         # Deterministic final ordering: the display layer names structs in
-        # conversion order, so results must surface bottom-up like the plain
-        # solver builds them.
+        # conversion order, so results surface in bottom-up SCC order.
         results: Dict[str, ProcedureResult] = {}
         for scc in sccs:
             for name in scc:
@@ -360,7 +364,7 @@ class AnalysisService:
 
         if refine:
             ordered_contributions: List[RefinementContribution] = []
-            for name in inputs:  # the solver's caller order
+            for name in inputs:  # REFINEPARAMETERS' caller order
                 ordered_contributions.extend(contributions_of.get(name, ()))
             apply_refinement(results, ordered_contributions)
 
@@ -408,9 +412,10 @@ class IncrementalSession:
 
     On every call after the first, the session hashes all procedures, diffs
     against the previous version and computes the invalidation cone -- the
-    changed procedures' SCCs plus all transitive callers, found top-down via
-    :meth:`CallGraph.callers <repro.ir.callgraph.CallGraph.callers>` -- which
-    it reports in ``stats["invalidated_procedures"]``.  The content-addressed
+    changed procedures' SCCs plus all transitive callers, found via
+    :meth:`CallGraph.transitive_callers
+    <repro.ir.callgraph.CallGraph.transitive_callers>` -- which it reports in
+    ``stats["invalidated_procedures"]``.  The content-addressed
     store then re-solves exactly that cone (``stats["solved_procedures"]``)
     while every clean SCC is served from cache.
     """

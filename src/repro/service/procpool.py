@@ -66,9 +66,6 @@ from .store import (
     STORE_FORMAT,
     SummaryStore,
     deserialize_summary,
-    environment_fingerprint,
-    program_fingerprints,
-    scc_summary_keys,
     serialize_summary,
     solve_scc_summary,
 )
@@ -82,13 +79,17 @@ PROCPOOL_FORMAT = "retypd-procpool-v2"
 
 #: multiprocessing start method; ``spawn`` is deliberate -- the parent may be
 #: a threaded asyncio daemon, and forking a threaded process is undefined
-#: behaviour territory.  Override via REPRO_PROCPOOL_START_METHOD for
-#: experiments.
-START_METHOD_ENV = "REPRO_PROCPOOL_START_METHOD"
+#: behaviour territory.
+START_METHOD = "spawn"
 
-#: test-only fault injection: a worker about to solve an SCC containing this
-#: procedure hard-exits (crash) or raises (soft failure).  Used by the
-#: worker-crash requeue tests; unset in production.
+#: chunks per worker and wave (or corpus); >1 gives the pool slack to
+#: rebalance when SCC solve times are skewed within a wave, at the cost of
+#: more IPC messages.
+CHUNKS_PER_WORKER = 2
+
+#: test-only fault injection: a worker about to solve an SCC (in corpus mode:
+#: a program) containing this procedure hard-exits (crash) or raises (soft
+#: failure).  Used by the worker-crash requeue tests; unset in production.
 CRASH_ENV = "REPRO_PROCPOOL_TEST_CRASH"
 FAIL_ENV = "REPRO_PROCPOOL_TEST_FAIL"
 
@@ -433,9 +434,9 @@ class _WorkerState:
 
     def __init__(self, env: Mapping[str, object]) -> None:
         from ..typegen.externs import ExternSignature, extern_schemes
+        from .incremental import AnalysisService, ServiceConfig
 
-        self.lattice = TypeLattice.from_json(env["lattice"])
-        self.extern_table = {
+        extern_table = {
             name: ExternSignature(
                 name=name,
                 stack_params=sig["stack_params"],
@@ -452,16 +453,20 @@ class _WorkerState:
             refine_parameters=env["solver"]["refine_parameters"],
             polymorphic=env["solver"]["polymorphic"],
         )
-        self.solver = Solver(self.lattice, extern_schemes(self.extern_table), config)
-        self.config = config
-        cache_dir = env.get("cache_dir")
         # Always keep a store: the disk tier (when configured) is shared with
         # every other process, and the small memory tier persists across this
         # worker's tasks -- corpus-mode chunks of cluster binaries reuse each
         # other's shared-library SCCs here without any parent round-trip.
-        self.store: Optional[SummaryStore] = SummaryStore(
-            capacity=256, cache_dir=cache_dir
+        # Corpus-mode tasks run the service's own driver over it.
+        self.service = AnalysisService(
+            ServiceConfig(solver=config),
+            lattice=TypeLattice.from_json(env["lattice"]),
+            externs=extern_table,
+            store=SummaryStore(capacity=256, cache_dir=env.get("cache_dir")),
         )
+        self.lattice = self.service.lattice
+        self.store = self.service.store
+        self.solver = Solver(self.lattice, extern_schemes(extern_table), config)
 
 
 _STATE: Optional[_WorkerState] = None
@@ -597,13 +602,28 @@ def _worker_solve_chunk(task_json: str) -> str:
 # Small-program corpora defeat wave-level parallelism -- a dozen-function
 # program has waves of two or three SCCs, so every wave round-trip costs more
 # IPC than it buys solving.  Corpus mode instead ships *whole programs* (as
-# their canonical assembly text) and each worker runs the full front half of
-# the service pipeline -- parse, constraint generation, bottom-up SCC solving
-# -- returning the per-SCC summary payloads plus the typing inputs in the v2
-# integer codec.  The parent admits the payloads into its store and replays
-# ``analyze`` per program with the shipped inputs: every SCC hits the warm
-# store, so the parent pays only the decode + display boundary while the
-# heavy lifting ran in parallel.
+# their canonical assembly text) and each worker runs the front half of the
+# service pipeline -- parse, constraint generation, then the service's own
+# bottom-up driver (:meth:`AnalysisService.solve_inputs`) over the worker's
+# store -- returning the per-SCC summary payloads plus the typing inputs in
+# the v2 integer codec.  The parent admits the payloads into its store and
+# replays ``analyze`` per program with the shipped inputs: every shipped SCC
+# hits the warm store, so the parent pays only the decode + display boundary
+# while the heavy lifting ran in parallel.  A payload the worker's memory
+# tier evicted before shipping is simply absent, and the parent re-solves
+# that SCC.
+
+#: the worker's ``solve_inputs`` statistics that describe the solving it did;
+#: the parent's replay overwrites its own (all-hit) values with these.
+CORPUS_STATS = (
+    "sccs_solved",
+    "sccs_cached",
+    "cache_hits",
+    "cache_misses",
+    "solved_procedures",
+    "cached_procedures",
+    "stage_seconds",
+)
 
 
 def encode_corpus_task(programs: Sequence[Tuple[str, str]]) -> str:
@@ -622,59 +642,32 @@ def encode_corpus_task(programs: Sequence[Tuple[str, str]]) -> str:
 def _worker_analyze_programs(state: "_WorkerState", task: Mapping[str, object]) -> str:
     """Corpus-mode worker body: full per-program solve, summaries shipped back."""
     from ..ir.asmparser import parse_program
-    from ..ir.callgraph import CallGraph
     from ..typegen.abstract_interp import generate_program_constraints
 
-    env_fp = environment_fingerprint(state.lattice, state.extern_table, state.config)
+    service = state.service
     table = StringTable()
     entries: List[Dict[str, object]] = []
     for name, text in task["programs"]:
         start = time.perf_counter()
         program = parse_program(text)
-        inputs = generate_program_constraints(program, state.extern_table)
-        callgraph = CallGraph.from_typing_inputs(inputs)
-        sccs = callgraph.sccs_bottom_up()
-        keys = scc_summary_keys(
-            sccs, callgraph.edges, program_fingerprints(program), env_fp
-        )
-        stats = SolveStats()
-        working: Dict[str, ProcedureResult] = {}
-        hits = 0
+        _check_fault_injection(list(program.procedures))
+        inputs = generate_program_constraints(program, service.extern_table)
+        _, stats = service.solve_inputs(program, inputs)
         summaries: List[List[object]] = []
-        for scc in sccs:
-            key = keys[tuple(scc)]
-            payload = state.store.get_payload(key) if state.store is not None else None
+        # (absent when the program has no procedures, hence no SCCs)
+        for key in stats.get("scc_store_keys", {}).values():
+            payload = service.store.get_payload(key)
             if payload is not None:
-                hits += 1
-                summary = deserialize_summary(payload, state.lattice)
-                working.update(
-                    (pname, procedure.to_result())
-                    for pname, procedure in summary.procedures.items()
-                )
-            else:
-                _check_fault_injection(scc)
-                scc_results, summary = solve_scc_summary(
-                    state.solver, scc, inputs, working, stats
-                )
-                working.update(scc_results)
-                payload = serialize_summary(summary)
-                if state.store is not None:
-                    state.store.admit_payload(key, payload, write_disk=True)
-            summaries.append([key, payload])
-        codec_start = time.perf_counter()
-        encoded_inputs = {
-            pname: encode_input(proc, table.intern) for pname, proc in inputs.items()
-        }
-        codec_seconds = time.perf_counter() - codec_start
+                summaries.append([key, payload])
         entries.append(
             {
                 "name": name,
                 "summaries": summaries,
-                "inputs": encoded_inputs,
-                "stats": stats.to_json(),
-                "cache_hits": hits,
-                "cache_misses": len(sccs) - hits,
-                "codec_seconds": codec_seconds,
+                "inputs": {
+                    pname: encode_input(proc, table.intern)
+                    for pname, proc in inputs.items()
+                },
+                "stats": {key: stats[key] for key in CORPUS_STATS},
                 "seconds": time.perf_counter() - start,
             }
         )
@@ -692,10 +685,6 @@ def _worker_analyze_programs(state: "_WorkerState", task: Mapping[str, object]) 
 # ---------------------------------------------------------------------------
 
 
-def _start_method() -> str:
-    return os.environ.get(START_METHOD_ENV, "spawn")
-
-
 class ProcPool:
     """A lazily-(re)built process pool bound to one solver environment.
 
@@ -707,14 +696,11 @@ class ProcPool:
     flight at the time are requeued by the caller.
     """
 
-    def __init__(self, env_json: str, max_workers: int, chunks_per_worker: int = 2) -> None:
+    def __init__(self, env_json: str, max_workers: int) -> None:
         if max_workers < 1:
             raise ValueError("procpool needs at least one worker")
         self.env_json = env_json
         self.max_workers = max_workers
-        #: chunks per worker and wave; >1 gives the pool slack to rebalance
-        #: when SCC solve times are skewed within a wave.
-        self.chunks_per_worker = max(1, chunks_per_worker)
         self._pool: Optional[ProcessPoolExecutor] = None
         # One lock for pool build/teardown and the counters: several server
         # request threads share one pool, and an unsynchronized lazy build
@@ -735,7 +721,7 @@ class ProcPool:
 
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.max_workers,
-                    mp_context=multiprocessing.get_context(_start_method()),
+                    mp_context=multiprocessing.get_context(START_METHOD),
                     initializer=_init_worker,
                     initargs=(self.env_json,),
                 )
@@ -819,7 +805,7 @@ class ProcPool:
         with self._lock:
             return {
                 "max_workers": self.max_workers,
-                "start_method": _start_method(),
+                "start_method": START_METHOD,
                 "pools_built": self.pools_built,
                 "chunks_dispatched": self.chunks_dispatched,
                 "chunks_failed": self.chunks_failed,
@@ -891,7 +877,7 @@ class ProcessWaveRunner:
         SCC on the in-process ``fallback`` and counted in ``worker_failed``.
         """
         chunk_count = max(
-            1, min(len(wave), self.pool.max_workers * self.pool.chunks_per_worker)
+            1, min(len(wave), self.pool.max_workers * CHUNKS_PER_WORKER)
         )
         chunks = [list(wave[index::chunk_count]) for index in range(chunk_count)]
         chunks = [chunk for chunk in chunks if chunk]

@@ -17,7 +17,6 @@ from repro.core import (
     DerivedTypeVariable,
     PointerType,
     ProcedureTypingInput,
-    Solver,
     StructRef,
     StructType,
     TypeDisplay,
@@ -31,6 +30,7 @@ from repro.core import (
     parse_constraints,
     parse_dtv,
 )
+from repro.service import AnalysisService, ServiceConfig
 
 FIGURE_20 = [
     # formal-in flows into the initial stack slot, then into edx
@@ -70,8 +70,12 @@ def result():
         formal_ins=(IN_STACK0,),
         formal_outs=(OUT_EAX,),
     )
-    solver = Solver(default_lattice())
-    return solver.solve_single(proc)
+    # A cache-off service never reads the program: it only keys the store.
+    service = AnalysisService(
+        ServiceConfig(use_cache=False), lattice=default_lattice(), externs={}
+    )
+    results, _ = service.solve_inputs(None, {proc.name: proc})
+    return results[proc.name]
 
 
 def test_parameter_sketch_is_recursive(result):

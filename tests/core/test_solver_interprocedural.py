@@ -8,7 +8,6 @@ from repro.core import (
     DerivedTypeVariable,
     LoadLabel,
     ProcedureTypingInput,
-    Solver,
     SolverConfig,
     default_lattice,
     field,
@@ -18,8 +17,23 @@ from repro.core import (
     parse_dtv,
     tarjan_sccs,
 )
+from repro.service import AnalysisService, ServiceConfig
 
 LOAD = LoadLabel()
+
+
+def _solve(procedures, config=None, externs=None):
+    """Solve hand-built typing inputs with the service's bottom-up driver.
+
+    The service runs cache-off, so it never reads the program (which only
+    keys the summary store); ``None`` stands in for it.
+    """
+    service = AnalysisService(
+        ServiceConfig(solver=config or SolverConfig(), use_cache=False),
+        lattice=default_lattice(),
+        externs=externs if externs is not None else {},
+    )
+    return service.solve_inputs(None, procedures)
 
 
 def _proc(name, lines, ins=(), outs=(), callsites=()):
@@ -32,7 +46,7 @@ def _proc(name, lines, ins=(), outs=(), callsites=()):
     )
 
 
-def test_tarjan_scc_order_is_callee_first():
+def test_tarjan_sccs_are_callee_first():
     edges = {"main": {"helper"}, "helper": {"leaf"}, "leaf": set()}
     order = tarjan_sccs(edges)
     flattened = [n for scc in order for n in scc]
@@ -63,7 +77,7 @@ def test_callee_tag_flows_to_caller():
         outs=["eax"],
         callsites=[Callsite("get_fd", "get_fd$1")],
     )
-    results = Solver(default_lattice()).solve_program({"get_fd": callee, "caller": caller})
+    results, _ = _solve({"get_fd": callee, "caller": caller})
     out_sketch = results["caller"].formal_out_sketches[parse_dtv("caller.out_eax")]
     root = out_sketch.node(out_sketch.root)
     assert "#FileDescriptor" in (root.lower, root.upper)
@@ -92,8 +106,7 @@ def test_polymorphic_callsites_do_not_interfere():
         outs=["eax"],
         callsites=[Callsite("id", "id$a"), Callsite("id", "id$b")],
     )
-    solver = Solver(default_lattice())
-    results = solver.solve_program({"id": identity, "caller": caller})
+    results, _ = _solve({"id": identity, "caller": caller})
     out = results["caller"].formal_out_sketches[parse_dtv("caller.out_eax")]
     # x should be int; with monomorphic treatment it would be joined with str.
     assert out.node(out.root).lower == "int"
@@ -113,9 +126,7 @@ def test_monomorphic_configuration_merges_callsites():
         callsites=[Callsite("id", "id$a"), Callsite("id", "id$b")],
     )
     config = SolverConfig(polymorphic=False, refine_parameters=False)
-    results = Solver(default_lattice(), config=config).solve_program(
-        {"id": identity, "caller": caller}
-    )
+    results, _ = _solve({"id": identity, "caller": caller}, config=config)
     out = results["caller"].formal_out_sketches[parse_dtv("caller.out_eax")]
     # both callsites collapse onto one type: join(int, str) = TOP in this lattice
     assert out.node(out.root).lower in ("TOP", "num32", "int")
@@ -135,13 +146,13 @@ def test_recursive_procedure_gets_recursive_sketch():
         outs=["eax"],
         callsites=[Callsite("walk", "walk$self")],
     )
-    results = Solver(default_lattice()).solve_program({"walk": walker})
+    results, _ = _solve({"walk": walker})
     sketch = results["walk"].formal_in_sketches[parse_dtv("walk.in_stack0")]
     assert sketch.is_recursive()
 
 
 def test_extern_scheme_used_when_provided():
-    from repro.typegen.externs import extern_schemes
+    from repro.typegen.externs import standard_externs
 
     caller = _proc(
         "caller",
@@ -150,8 +161,7 @@ def test_extern_scheme_used_when_provided():
         outs=["eax"],
         callsites=[Callsite("close", "close$1")],
     )
-    solver = Solver(default_lattice(), extern_schemes())
-    results = solver.solve_program({"caller": caller})
+    results, _ = _solve({"caller": caller}, externs=standard_externs())
     in_sketch = results["caller"].formal_in_sketches[parse_dtv("caller.in_stack0")]
     assert in_sketch.node(in_sketch.root).upper == "#FileDescriptor"
 
@@ -163,16 +173,15 @@ def test_unknown_extern_is_harmless():
         ins=["stack0"],
         callsites=[Callsite("mystery", "mystery$1")],
     )
-    results = Solver(default_lattice()).solve_program({"caller": caller})
+    results, _ = _solve({"caller": caller})
     assert "caller" in results
 
 
 def test_solver_stats_populated():
     proc = _proc("f", ["f.in_stack0 <= f.out_eax"], ins=["stack0"], outs=["eax"])
-    solver = Solver(default_lattice())
-    solver.solve_program({"f": proc})
-    assert solver.stats["procedures"] == 1
-    assert solver.stats["constraints"] == 1
+    _, stats = _solve({"f": proc})
+    assert stats["procedures"] == 1
+    assert stats["constraints"] == 1
 
 
 def test_scheme_roundtrips_through_instantiation():
@@ -183,7 +192,7 @@ def test_scheme_roundtrips_through_instantiation():
         ins=["stack0"],
         outs=["eax"],
     )
-    results = Solver(default_lattice()).solve_program({"get": callee})
+    results, _ = _solve({"get": callee})
     scheme = results["get"].scheme
     instantiated = scheme.instantiate_as("get$99")
     from repro.core import infer_shapes

@@ -112,7 +112,7 @@ def test_corpus_fanout_prewarms_every_program_and_stays_byte_identical():
         for workload in workloads:
             entry = prewarmed[workload.name]
             assert set(entry.inputs) == set(workload.program.procedures)
-            assert entry.cache_hits + entry.cache_misses > 0
+            assert entry.stats["cache_hits"] + entry.stats["cache_misses"] > 0
         report = analyze_corpus(programs, service=service)
     finally:
         service.close()
@@ -120,6 +120,31 @@ def test_corpus_fanout_prewarms_every_program_and_stays_byte_identical():
         assert result_fingerprint(report[name].types) == result_fingerprint(
             serial[name].types
         )
+
+
+def test_corpus_fanout_stats_describe_the_worker_solve():
+    """After fan-out, every per-program solve counter comes from the worker's
+    driver run, not from the parent's replay (where every SCC hits)."""
+    from repro.service import ServiceConfig
+
+    workloads = _cluster()
+    report = analyze_corpus(
+        {w.name: w.program for w in workloads},
+        config=ServiceConfig(executor="processes", max_workers=2),
+    )
+    for member in report:
+        stats = member.types.stats
+        assert stats["sccs_solved"] == stats["cache_misses"]
+        assert stats["sccs_cached"] == stats["cache_hits"]
+        solved = set(stats["solved_procedures"])
+        assert solved.isdisjoint(stats["cached_procedures"])
+        assert solved | set(stats["cached_procedures"]) == set(
+            member.types.program.procedures
+        )
+    # The first member is the first task of a fresh pool: solved cold.
+    first = report[workloads[0].name].types.stats
+    assert first["sccs_cached"] == 0
+    assert first["solved_procedures"]
 
 
 def test_corpus_fanout_falls_back_to_in_process_analysis(monkeypatch):
