@@ -11,7 +11,9 @@ benchmark measures, on the Figure 11 scaling workload:
   one wave on worker processes.
 
 The warm and incremental runs must beat the cold run -- that is the point of
-the subsystem -- and all paths must produce identical reports.
+the subsystem -- and all paths must produce identical reports.  The session
+keeps each version's typing inputs, so its warm run generates no constraints
+and its incremental run regenerates only the edited procedure.
 """
 
 import time
@@ -37,9 +39,20 @@ def _copy_with_edit(program):
     return edited, name
 
 
-def test_incremental_and_parallel_scaling(benchmark):
+def test_incremental_and_parallel_scaling(benchmark, monkeypatch):
     from repro.eval.workloads import scaling_suite
     from repro.service import AnalysisService, IncrementalSession, ServiceConfig
+    from repro.typegen.abstract_interp import ProcedureConstraintGenerator
+
+    generated = []  # constraint count of every typing input generated
+    original_generate = ProcedureConstraintGenerator.generate
+
+    def counting_generate(self):
+        typing_input = original_generate(self)
+        generated.append(len(typing_input.constraints))
+        return typing_input
+
+    monkeypatch.setattr(ProcedureConstraintGenerator, "generate", counting_generate)
 
     workloads = scaling_suite(sizes=SCALING_SIZES)
 
@@ -61,17 +74,24 @@ def test_incremental_and_parallel_scaling(benchmark):
             cold = session.analyze(workload.program)
             cold_seconds = time.perf_counter() - start
 
+            generated.clear()
             start = time.perf_counter()
             warm = session.analyze(workload.program)
             warm_seconds = time.perf_counter() - start
             assert warm.stats["sccs_solved"] == 0
             assert warm.report() == cold.report()
+            assert sum(generated) == 0, "warm re-analysis should generate no constraints"
+            assert warm.stats["reused_procedures"] == warm.stats["procedures"]
 
             edited, _ = _copy_with_edit(workload.program)
             start = time.perf_counter()
             incremental = session.analyze(edited)
             incremental_seconds = time.perf_counter() - start
             assert incremental.stats["sccs_solved"] <= cold.stats["scc_count"]
+            # A trailing nop leaves the leaf's interface, and so every
+            # caller's input, unchanged.
+            assert len(generated) == 1
+            assert incremental.stats["reused_procedures"] == incremental.stats["procedures"] - 1
 
             serial_service = AnalysisService(ServiceConfig(use_cache=False))
             start = time.perf_counter()

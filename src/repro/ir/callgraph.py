@@ -11,7 +11,7 @@ parallelism used by :mod:`repro.service.scheduler`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Mapping, Set
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from ..core.solver import ProcedureTypingInput, call_edges, tarjan_sccs
 from .program import Program
@@ -65,16 +65,20 @@ class CallGraph:
         """SCCs in callee-first order (the order type schemes are inferred in)."""
         return tarjan_sccs(self.edges)
 
-    def scc_waves(self) -> List[List[List[str]]]:
+    def scc_waves(
+        self, sccs: Optional[Sequence[Sequence[str]]] = None
+    ) -> List[List[List[str]]]:
         """Topological levelling of the SCC condensation DAG.
 
         Returns a list of waves; each wave is a list of SCCs (in bottom-up
         discovery order, so the result is deterministic), and every SCC only
         calls into SCCs of strictly earlier waves.  Wave 0 holds the leaf
         SCCs; independent subtrees share waves, which is where the service
-        scheduler finds its parallelism.
+        scheduler finds its parallelism.  ``sccs`` is this graph's
+        :meth:`sccs_bottom_up`, computed here when the caller has none.
         """
-        sccs = self.sccs_bottom_up()
+        if sccs is None:
+            sccs = self.sccs_bottom_up()
         index_of: Dict[str, int] = {}
         for index, scc in enumerate(sccs):
             for name in scc:

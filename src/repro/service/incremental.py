@@ -16,7 +16,8 @@ possible:
 * **incremental re-analysis** -- editing a procedure changes its SCC's key and
   the keys of its transitive callers, so precisely that invalidation cone is
   re-solved (:class:`IncrementalSession` reports the cone explicitly, computed
-  via ``CallGraph.transitive_callers``);
+  via ``CallGraph.transitive_callers``, and regenerates constraints only for
+  procedures whose code or callee interfaces changed);
 * **wave parallelism** -- SCCs that share a topological level of the
   condensation DAG are independent and are dispatched together through the
   :class:`~repro.service.scheduler.WaveScheduler`, in-process or on worker
@@ -54,14 +55,20 @@ from ..obs.trace import get_tracer
 from ..ir.asmparser import parse_program
 from ..ir.cfg import cfg_node_count
 from ..ir.program import Program
-from ..typegen.abstract_interp import generate_program_constraints
+from ..typegen.abstract_interp import FrontEndRecord, generate_program_constraints
 from ..typegen.externs import (
     ExternSignature,
     ensure_lattice_tags,
     extern_schemes,
     standard_externs,
 )
-from .procpool import ProcPool, ProcessWaveRunner, encode_environment
+from .procpool import (
+    ProcPool,
+    ProcessWaveRunner,
+    encode_environment,
+    pack_input,
+    unpack_input,
+)
 from .scheduler import WaveScheduler
 from .store import (
     SCCSummary,
@@ -197,6 +204,8 @@ class AnalysisService:
         self,
         source: Union[str, "Program"],
         inputs: Optional[Mapping[str, ProcedureTypingInput]] = None,
+        fingerprints: Optional[Mapping[str, str]] = None,
+        record: Optional[FrontEndRecord] = None,
     ):
         """Analyze one program; returns :class:`repro.pipeline.ProgramTypes`.
 
@@ -204,6 +213,10 @@ class AnalysisService:
         constraint generation); the corpus fan-out path uses it with inputs a
         worker generated and shipped back, paired with a store pre-warmed by
         that worker's summaries, so this call reduces to decode + display.
+        ``fingerprints`` (the program's :func:`program_fingerprints`) and
+        ``record`` come from an :class:`IncrementalSession`: constraint
+        generation reuses the record's unchanged procedures and the store key
+        reuses the fingerprints.
         """
         from ..pipeline import ProgramTypes, _function_types
         from ..core.display import TypeDisplay
@@ -217,7 +230,9 @@ class AnalysisService:
             start = time.perf_counter()
             if inputs is None:
                 with tracer.span("service.constraint_gen"):
-                    inputs = generate_program_constraints(program, self.extern_table)
+                    inputs = generate_program_constraints(
+                        program, self.extern_table, record, fingerprints
+                    )
             else:
                 # Re-impose program order: supplied inputs may arrive in wire
                 # order (JSON objects are shipped with sorted keys) and the
@@ -230,7 +245,7 @@ class AnalysisService:
 
             solve_start = time.perf_counter()
             with tracer.span("service.solve"):
-                results, stats = self.solve_inputs(program, inputs)
+                results, stats = self.solve_inputs(program, inputs, fingerprints)
             solve_time = time.perf_counter() - solve_start
 
         display = TypeDisplay(self.lattice)
@@ -245,6 +260,7 @@ class AnalysisService:
                 "total_seconds": constraint_time + solve_time,
                 "instructions": program.instruction_count,
                 "cfg_nodes": sum(cfg_node_count(proc) for proc in program),
+                "reused_procedures": record.reused if record is not None else 0,
             }
         )
         return ProgramTypes(
@@ -257,6 +273,7 @@ class AnalysisService:
         self,
         program: Optional[Program],
         inputs: Mapping[str, ProcedureTypingInput],
+        fingerprints: Optional[Mapping[str, str]] = None,
     ) -> Tuple[Dict[str, ProcedureResult], Dict[str, object]]:
         """Solve all procedures, reusing cached SCC summaries where possible.
 
@@ -265,12 +282,13 @@ class AnalysisService:
         serves it, then REFINEPARAMETERS (Algorithm F.3) folds every caller's
         contributions into its callees' formals.  ``program`` only keys the
         summary store, so a cache-off service never reads it (hand-built
-        inputs may pass ``None``).  Returns (results in bottom-up SCC order,
-        service statistics).
+        inputs may pass ``None``); ``fingerprints`` are its
+        :func:`program_fingerprints` when the caller has them already.
+        Returns (results in bottom-up SCC order, service statistics).
         """
         callgraph = CallGraph.from_typing_inputs(inputs)
         sccs = callgraph.sccs_bottom_up()
-        waves = callgraph.scc_waves()
+        waves = callgraph.scc_waves(sccs)
         # Read from the live extern table on every call, like the environment
         # key below; each signature parses its scheme only once.
         solver = Solver(self.lattice, extern_schemes(self.extern_table), self.config.solver)
@@ -286,7 +304,8 @@ class AnalysisService:
             environment = environment_fingerprint(
                 self.lattice, self.extern_table, self.config.solver
             )
-            fingerprints = program_fingerprints(program)
+            if fingerprints is None:
+                fingerprints = program_fingerprints(program)
             keys = scc_summary_keys(sccs, callgraph.edges, fingerprints, environment)
             for scc in sccs:
                 summary = self.store.get(keys[tuple(scc)], self.lattice)
@@ -418,6 +437,12 @@ class IncrementalSession:
     ``stats["invalidated_procedures"]``.  The content-addressed
     store then re-solves exactly that cone (``stats["solved_procedures"]``)
     while every clean SCC is served from cache.
+
+    The session also keeps the front-end results of its latest version in a
+    :class:`~repro.typegen.abstract_interp.FrontEndRecord`, with each typing
+    input in the compact codec form: an unchanged procedure skips its
+    dataflow passes, and one whose callees' interfaces are unchanged too
+    skips constraint generation (``stats["reused_procedures"]``).
     """
 
     def __init__(self, service: Optional[AnalysisService] = None) -> None:
@@ -425,6 +450,7 @@ class IncrementalSession:
         if self.service.store is None:
             raise ValueError("IncrementalSession requires a service with a summary store")
         self._previous: Optional[Dict[str, str]] = None
+        self._record = FrontEndRecord(pack_input, unpack_input)
 
     def analyze(self, source: Union[str, Program]):
         """Analyze the (possibly edited) program, annotating invalidation stats."""
@@ -450,7 +476,9 @@ class IncrementalSession:
                 span.set("invalidated", len(invalidated))
         self._previous = dict(fingerprints)
 
-        types = self.service.analyze(program)
+        types = self.service.analyze(
+            program, fingerprints=fingerprints, record=self._record
+        )
         if invalidated is not None:
             types.stats["invalidated_procedures"] = sorted(invalidated)
         return types

@@ -37,6 +37,7 @@ import json
 import os
 import threading
 import time
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -360,6 +361,58 @@ def decode_input(
             for i in range(0, len(callsites), 2)
         ),
     )
+
+
+def pack_input(proc: ProcedureTypingInput) -> bytes:
+    """One typing input as self-contained, zlib-compressed JSON.
+
+    The JSON holds its own string table plus the :func:`encode_input` entry;
+    an :class:`~repro.service.incremental.IncrementalSession` keeps the
+    typing inputs of its record in this form (compression takes a
+    default-profile program's record from ~15 KB of text to ~5 KB).
+    """
+    table = StringTable()
+    entry = encode_input(proc, table.intern)
+    text = json.dumps([table.to_list(), entry], separators=(",", ":"))
+    return zlib.compress(text.encode("utf-8"), 1)
+
+
+class _PackedConstraints(ConstraintSet):
+    """A stored constraint set, decoded on first use.
+
+    A procedure whose SCC the summary store serves is never solved, so only
+    its size is read, and the codec form gives that without decoding.
+    """
+
+    def __init__(self, entry: Mapping[str, List[int]], reader: _TableReader) -> None:
+        self._entry = entry
+        self._reader = reader
+        self._decoded: Optional[ConstraintSet] = None
+
+    def _load(self) -> ConstraintSet:
+        if self._decoded is None:
+            self._decoded = decode_constraints(self._entry, self._reader)
+        return self._decoded
+
+    @property
+    def subtype(self):
+        return self._load().subtype
+
+    @property
+    def additive(self):
+        return self._load().additive
+
+    def __len__(self) -> int:
+        return len(self._entry["s"]) // 2  # one (lhs, rhs) id pair each
+
+
+def unpack_input(name: str, packed: bytes) -> ProcedureTypingInput:
+    """Inverse of :func:`pack_input`, with the constraints left packed."""
+    strings, entry = json.loads(zlib.decompress(packed))
+    reader = _TableReader(strings)
+    typing_input = decode_input(name, dict(entry, c={"s": [], "a": []}), reader)
+    typing_input.constraints = _PackedConstraints(entry["c"], reader)
+    return typing_input
 
 
 def encode_task(

@@ -21,7 +21,18 @@ constraints over derived type variables:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..core.constraints import AddConstraint, ConstraintSet, SubConstraint
 from ..core.labels import FieldLabel, InLabel, Label, LoadLabel, OutLabel, StoreLabel
@@ -466,33 +477,128 @@ class ProcedureConstraintGenerator:
         self.constraints.add_subtype(self.use_var("eax", index), self.formal_out())
 
 
+#: A procedure's callee key: every distinct direct call target with the
+#: calling convention of its :class:`CalleeInfo` (stack parameters, register
+#: parameters, return) that its constraints were generated against, ``None``
+#: for a target the callee table does not know.  Generation reads nothing
+#: else outside the procedure, so equal fingerprints and callee keys mean
+#: equal typing inputs.
+CalleeKey = Tuple[Tuple[str, Optional[Tuple[int, Tuple[str, ...], bool]]], ...]
+
+
+def callee_key(procedure: Procedure, callees: Mapping[str, CalleeInfo]) -> CalleeKey:
+    """The :data:`CalleeKey` of ``procedure`` under the callee table ``callees``."""
+    key = []
+    for target in sorted(set(procedure.direct_callees())):
+        info = callees.get(target)
+        convention = (
+            None
+            if info is None
+            else (info.stack_params, info.register_params, info.has_return)
+        )
+        key.append((target, convention))
+    return tuple(key)
+
+
+class ProcedureRecord(NamedTuple):
+    """What generating one version of a procedure produced, kept for the next."""
+
+    fingerprint: str
+    interface: ProcedureInterface
+    callee_key: CalleeKey
+    #: the typing input, in the form chosen by the record's ``store``.
+    typing_input: object
+
+
+class FrontEndRecord:
+    """Per-procedure front-end results of the latest program version generated.
+
+    :func:`generate_program_constraints` reads the previous version's entries
+    from it and replaces them with the current version's, so one record holds
+    one program's worth.  ``store`` turns a typing input into the form it is
+    kept in and ``load(name, stored)`` turns it back; an incremental session
+    keeps the compressed string-table codec form.
+    """
+
+    def __init__(
+        self,
+        store: Callable[[ProcedureTypingInput], object],
+        load: Callable[[str, object], ProcedureTypingInput],
+    ) -> None:
+        self.store = store
+        self.load = load
+        self.procedures: Dict[str, ProcedureRecord] = {}
+        #: procedures whose typing input the latest generation reused.
+        self.reused = 0
+
+
 def generate_program_constraints(
     program: Program,
     externs: Optional[Mapping[str, ExternSignature]] = None,
+    record: Optional[FrontEndRecord] = None,
+    fingerprints: Optional[Mapping[str, str]] = None,
 ) -> Dict[str, ProcedureTypingInput]:
     """Generate constraints for every procedure of a program (Algorithm F.1's CONSTRAINTS).
 
     One reaching-definitions pass per procedure serves both interface
     discovery and the generator; each procedure's facts are dropped as soon
     as its constraints exist.
+
+    With a ``record`` of the previous version (and this version's
+    per-procedure ``fingerprints``), a procedure whose fingerprint is
+    unchanged reuses its interface and runs no dataflow pass; if its callee
+    key is unchanged too, it reuses its typing input.  The record then
+    describes this version.
     """
     externs = externs if externs is not None else standard_externs()
+    previous: Dict[str, ProcedureRecord] = {}
+    if record is not None:
+        if fingerprints is None:
+            raise ValueError("reusing a record needs the program's fingerprints")
+        previous = {
+            name: kept
+            for name, kept in record.procedures.items()
+            if name in program.procedures and kept.fingerprint == fingerprints[name]
+        }
     reaching = {
         name: analyze_reaching_definitions(procedure)
         for name, procedure in program.procedures.items()
+        if name not in previous
     }
     interfaces = {
-        name: discover_interface(procedure, reaching[name])
+        name: previous[name].interface
+        if name in previous
+        else discover_interface(procedure, reaching[name])
         for name, procedure in program.procedures.items()
     }
     callees = callee_table(program, interfaces, externs)
     tracer = get_tracer()
     results: Dict[str, ProcedureTypingInput] = {}
+    current: Dict[str, ProcedureRecord] = {}
+    reused = 0
     for name, procedure in program.procedures.items():
+        if record is not None:
+            key = callee_key(procedure, callees)
+            kept = previous.get(name)
+            if kept is not None and kept.callee_key == key:
+                results[name] = record.load(name, kept.typing_input)
+                current[name] = kept
+                reused += 1
+                continue
         with tracer.span("typegen.constraints", function=name) as span:
+            facts = reaching.pop(name, None)
+            if facts is None:  # unchanged code, changed callees
+                facts = analyze_reaching_definitions(procedure)
             generator = ProcedureConstraintGenerator(
-                procedure, interfaces[name], callees, reaching.pop(name)
+                procedure, interfaces[name], callees, facts
             )
             results[name] = generator.generate()
             span.set("constraints", len(results[name].constraints))
+        if record is not None:
+            current[name] = ProcedureRecord(
+                fingerprints[name], interfaces[name], key, record.store(results[name])
+            )
+    if record is not None:
+        record.procedures = current
+        record.reused = reused
     return results

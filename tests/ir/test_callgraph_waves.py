@@ -115,6 +115,27 @@ def test_scc_waves_level_the_condensation():
     assert sorted(flat) == sorted(graph.edges)
 
 
+def test_scc_waves_level_a_given_scc_list():
+    graph = CallGraph.from_program(_chain_program())
+    assert graph.scc_waves(graph.sccs_bottom_up()) == graph.scc_waves()
+
+
+def test_one_analysis_runs_tarjan_once(monkeypatch):
+    from repro import analyze_program
+    from repro.ir import callgraph
+
+    calls = []
+    original = callgraph.tarjan_sccs
+
+    def counting(edges):
+        calls.append(edges)
+        return original(edges)
+
+    monkeypatch.setattr(callgraph, "tarjan_sccs", counting)
+    analyze_program(_chain_program())
+    assert len(calls) == 1
+
+
 def test_callgraph_from_typing_inputs_matches_program_graph():
     program = _chain_program()
     inputs = generate_program_constraints(program)

@@ -213,17 +213,190 @@ def test_analyze_program_accepts_service_objects():
 
 
 def test_extern_table_edit_reaches_the_solver():
-    """Solving reads the live extern table, as the summary keys already do."""
+    """Solving reads the live extern table, as the summary keys already do.
+
+    A session over the service reuses a caller's typing input only while the
+    extern's calling convention is unchanged: its scheme is read at solve
+    time, but its stack parameters shape the generated constraints.
+    """
+    from repro.gen import result_fingerprint
+
     asm = """
     f:
         call getfd
         ret
+
+    g:
+        mov eax, [esp+4]
+        push eax
+        call getfd
+        add esp, 4
+        ret
     """
     service = AnalysisService()
+    session = IncrementalSession(service)
     assert service.analyze(asm).signature("f") == "int f(void);"
+    assert session.analyze(asm).signature("f") == "int f(void);"
     service.extern_table["getfd"] = ExternSignature(
         "getfd", 0, constraints=("#FileDescriptor <= getfd.out_eax",)
     )
     fresh = AnalysisService(externs=service.extern_table)
     assert fresh.analyze(asm).signature("f") == "#FileDescriptor f(void);"
     assert service.analyze(asm).signature("f") == "#FileDescriptor f(void);"
+    # Unknown -> known with the same calling convention: a new callee key.
+    types = session.analyze(asm)
+    assert types.signature("f") == "#FileDescriptor f(void);"
+    assert types.stats["reused_procedures"] == 0
+    assert result_fingerprint(types) == _cold_fingerprint(asm, externs=service.extern_table)
+
+    # Only the scheme changes: the input is reused, the solve is not stale.
+    service.extern_table["getfd"] = ExternSignature(
+        "getfd", 0, constraints=("#SuccessZ <= getfd.out_eax",)
+    )
+    types = session.analyze(asm)
+    assert types.stats["reused_procedures"] == 2
+    assert types.signature("f") == "#SuccessZ f(void);"
+    assert result_fingerprint(types) == _cold_fingerprint(asm, externs=service.extern_table)
+
+    # One stack parameter: g's argument now flows into the callee.
+    service.extern_table["getfd"] = ExternSignature(
+        "getfd",
+        1,
+        constraints=("getfd.in_stack0 <= #FileDescriptor", "#SuccessZ <= getfd.out_eax"),
+    )
+    types = session.analyze(asm)
+    assert types.stats["reused_procedures"] == 0
+    assert types.signature("g") == "#SuccessZ g(#FileDescriptor arg_stack0);"
+    assert result_fingerprint(types) == _cold_fingerprint(asm, externs=service.extern_table)
+
+
+# -- front-end reuse across session versions -----------------------------------
+
+CALLEE_ASM = """
+.extern close
+
+leaf:
+    mov eax, [esp+4]
+    ret
+
+caller:
+    mov eax, [esp+8]
+    push eax
+    push 1
+    call leaf
+    add esp, 8
+    ret
+
+bystander:
+    mov eax, [esp+4]
+    add eax, 1
+    ret
+"""
+
+# leaf now reads a second stack argument and closes it: its interface
+# changes while the text of ``caller``, which passes that argument, does not.
+WIDER_LEAF_ASM = CALLEE_ASM.replace(
+    "leaf:\n    mov eax, [esp+4]\n",
+    "leaf:\n    mov ecx, [esp+8]\n    push ecx\n    call close\n    add esp, 4\n"
+    "    mov eax, [esp+4]\n",
+)
+
+
+def _cold_fingerprint(source, **service_kwargs):
+    from repro.gen import result_fingerprint
+
+    return result_fingerprint(
+        analyze_program(source, service=AnalysisService(**service_kwargs))
+    )
+
+
+def _count_reaching_definitions(monkeypatch):
+    """Record the procedure of every reaching-definitions pass typegen runs."""
+    from repro.typegen import abstract_interp
+
+    seen = []
+    original = abstract_interp.analyze_reaching_definitions
+
+    def counting(procedure):
+        seen.append(procedure.name)
+        return original(procedure)
+
+    monkeypatch.setattr(abstract_interp, "analyze_reaching_definitions", counting)
+    return seen
+
+
+def test_session_hashes_each_procedure_once_per_analyze(monkeypatch):
+    from repro.service import incremental
+
+    calls = []
+    original = incremental.program_fingerprints
+
+    def counting(program):
+        calls.append(program)
+        return original(program)
+
+    monkeypatch.setattr(incremental, "program_fingerprints", counting)
+    program = _program()
+    session = IncrementalSession(AnalysisService())
+    session.analyze(program)
+    assert len(calls) == 1
+    session.analyze(_edit(program, "helper"))
+    assert len(calls) == 2
+
+
+def test_callee_interface_change_regenerates_unchanged_caller(monkeypatch):
+    from repro.gen import result_fingerprint
+
+    session = IncrementalSession(AnalysisService())
+    first = session.analyze(CALLEE_ASM)
+    assert first.signature("caller") == "int caller(int arg_stack4);"
+    assert first.stats["reused_procedures"] == 0
+
+    seen = _count_reaching_definitions(monkeypatch)
+    types = session.analyze(WIDER_LEAF_ASM)
+    # caller's text is unchanged but its callee key is not: it runs its one
+    # dataflow pass and gets a fresh input; only bystander is reused.
+    assert sorted(seen) == ["caller", "leaf"]
+    assert types.stats["reused_procedures"] == 1
+    assert types.signature("caller") == "int caller(#FileDescriptor arg_stack4);"
+    assert result_fingerprint(types) == _cold_fingerprint(WIDER_LEAF_ASM)
+
+
+def test_deleting_a_callee_regenerates_its_callers(monkeypatch):
+    from repro.gen import result_fingerprint
+
+    program = compile_c(SOURCE).program
+    session = IncrementalSession(AnalysisService())
+    session.analyze(program)
+
+    trimmed = Program(
+        procedures={n: p for n, p in program.procedures.items() if n != "leaf"},
+        externs=set(program.externs),
+        globals=dict(program.globals),
+    )
+    seen = _count_reaching_definitions(monkeypatch)
+    types = session.analyze(trimmed)
+    assert seen == ["helper"]
+    assert types.stats["reused_procedures"] == len(trimmed.procedures) - 1
+    assert types.stats["invalidated_procedures"] == ["helper", "main_entry"]
+    assert result_fingerprint(types) == _cold_fingerprint(trimmed)
+
+
+def test_reaching_definitions_run_only_for_changed_procedures(monkeypatch):
+    from repro.gen import result_fingerprint
+
+    program = _program()
+    assert analyze_program(program).stats["reused_procedures"] == 0
+    session = IncrementalSession(AnalysisService())
+    session.analyze(program)
+
+    seen = _count_reaching_definitions(monkeypatch)
+    same = session.analyze(program)
+    assert seen == []
+    assert same.stats["reused_procedures"] == len(program.procedures)
+
+    edited = _edit(program, "helper")
+    types = session.analyze(edited)
+    assert seen == ["helper"]
+    assert types.stats["reused_procedures"] == len(program.procedures) - 1
+    assert result_fingerprint(types) == _cold_fingerprint(edited)

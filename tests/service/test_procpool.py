@@ -205,6 +205,19 @@ def test_input_codec_round_trip_is_byte_identical(proc):
     assert re_encoded == encoded
 
 
+@settings(max_examples=50, deadline=None)
+@given(_typing_input())
+def test_packed_input_counts_before_decoding_and_round_trips(proc):
+    unpacked = procpool.unpack_input("f", procpool.pack_input(proc))
+    assert len(unpacked.constraints) == len(proc.constraints)
+    assert unpacked.constraints._decoded is None  # counting decoded nothing
+    assert unpacked.constraints == proc.constraints
+    assert unpacked.formal_ins == proc.formal_ins
+    assert unpacked.formal_outs == proc.formal_outs
+    assert unpacked.callsites == proc.callsites
+    assert procpool.pack_input(unpacked) == procpool.pack_input(proc)
+
+
 @settings(max_examples=25, deadline=None)
 @given(_typing_input())
 def test_solve_scc_results_round_trip_byte_identical(proc):
